@@ -7,7 +7,7 @@ single JSON document {"command", "config", "rows"}.  Reals are rendered with
 regardless of --workers.
 
 Exit codes: 0 success, 1 tolerance or self-check failure, 2 usage error,
-3 I/O error.
+3 I/O error, 4 a sieve worker process died.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -86,11 +87,17 @@ def _write_output(args, text: str) -> None:
             handle.write(text)
 
 
-def _emit(args, command: str, config: dict, columns: list[str], rows: list[dict],
-          json_rows: list | None = None) -> None:
+def _emit(args, columns: list[str], rows: list[dict], json_rows: list | None = None) -> None:
+    """Render rows as CSV, or as one JSON document whose config echoes the
+    parsed flags other than --format and --output."""
     if args.format == "json":
+        config = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("command", "format", "output", "handler")
+        }
         payload = {
-            "command": command,
+            "command": args.command,
             "config": _jsonify(config),
             "rows": _jsonify(
                 json_rows
@@ -110,11 +117,12 @@ def _emit(args, command: str, config: dict, columns: list[str], rows: list[dict]
 
 
 def _moduli(args) -> list[int]:
-    moduli = list(dict.fromkeys(args.m))
-    for m in moduli:
+    """Deduplicate args.m in place, so the echoed config matches the rows."""
+    args.m = list(dict.fromkeys(args.m))
+    for m in args.m:
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
-    return moduli
+    return args.m
 
 
 def _check_stream_flags(args) -> None:
@@ -127,18 +135,19 @@ def _check_stream_flags(args) -> None:
 # ---------------------------------------------------------------- commands
 
 
+def _record(args):
+    """The checkpoint series that density and error-growth both report."""
+    moduli = _moduli(args)
+    _check_stream_flags(args)
+    return moduli, record_many(
+        moduli, args.x_max, args.ratio, segment_size=args.segment_size, workers=args.workers
+    )
+
+
 def cmd_density(args) -> int:
     """Class counts, densities, scaled residuals and the growth envelope at
     geometric checkpoints."""
-    moduli = _moduli(args)
-    _check_stream_flags(args)
-    series = record_many(
-        moduli,
-        args.x_max,
-        args.ratio,
-        segment_size=args.segment_size,
-        workers=args.workers,
-    )
+    moduli, series = _record(args)
     rows = []
     for m in moduli:
         for cp in series[m].checkpoints:
@@ -156,15 +165,8 @@ def cmd_density(args) -> int:
                         "predicted_bound": bound,
                     }
                 )
-    config = {
-        "m": moduli,
-        "x_max": args.x_max,
-        "ratio": args.ratio,
-        "segment_size": args.segment_size,
-        "workers": args.workers,
-    }
     columns = ["m", "x", "j", "count", "ratio", "scaled_residual", "predicted_bound"]
-    _emit(args, "density", config, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
@@ -199,24 +201,15 @@ def cmd_hall(args) -> int:
                             "hall_rhs": hall_rhs(m, k, x, table),
                         }
                     )
-    config = {"m": moduli, "x_max": args.x_max, "ratio": args.ratio}
     columns = ["kind", "m", "perimeter", "c", "a_exponent", "k", "x", "hall_rhs"]
-    _emit(args, "hall", config, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
 def cmd_error_growth(args) -> int:
     """Checkpoint residuals plus fitted growth exponents, per class and per
     character."""
-    moduli = _moduli(args)
-    _check_stream_flags(args)
-    series = record_many(
-        moduli,
-        args.x_max,
-        args.ratio,
-        segment_size=args.segment_size,
-        workers=args.workers,
-    )
+    moduli, series = _record(args)
     rows = []
     for m in moduli:
         for cp in series[m].checkpoints:
@@ -230,11 +223,14 @@ def cmd_error_growth(args) -> int:
                         "scaled_residual": int(cp.scaled_residuals[j]),
                     }
                 )
-        for j in range(m):
-            fit = growth_exponent(series[m], j)
+        fits = [("class-fit", growth_exponent(series[m], j)) for j in range(m)]
+        fits += [
+            ("character-fit", character_growth_exponent(series[m], k)) for k in range(1, m)
+        ]
+        for kind, fit in fits:
             rows.append(
                 {
-                    "kind": "class-fit",
+                    "kind": kind,
                     "m": m,
                     "index": fit.index,
                     "alpha_hat": fit.alpha_hat,
@@ -242,25 +238,6 @@ def cmd_error_growth(args) -> int:
                     "residual_rms": fit.residual_rms,
                 }
             )
-        for k in range(1, m):
-            fit = character_growth_exponent(series[m], k)
-            rows.append(
-                {
-                    "kind": "character-fit",
-                    "m": m,
-                    "index": fit.index,
-                    "alpha_hat": fit.alpha_hat,
-                    "points_used": fit.points_used,
-                    "residual_rms": fit.residual_rms,
-                }
-            )
-    config = {
-        "m": moduli,
-        "x_max": args.x_max,
-        "ratio": args.ratio,
-        "segment_size": args.segment_size,
-        "workers": args.workers,
-    }
     columns = [
         "kind",
         "m",
@@ -272,7 +249,7 @@ def cmd_error_growth(args) -> int:
         "points_used",
         "residual_rms",
     ]
-    _emit(args, "error-growth", config, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
@@ -318,13 +295,6 @@ def cmd_dirichlet_check(args) -> int:
                 "pass": passed,
             }
         )
-    config = {
-        "m": moduli,
-        "s": args.s,
-        "n_max": args.n_max,
-        "p_max": args.p_max,
-        "tolerance": args.tolerance,
-    }
     columns = [
         "check",
         "m",
@@ -338,7 +308,7 @@ def cmd_dirichlet_check(args) -> int:
         "deviation",
         "pass",
     ]
-    _emit(args, "dirichlet-check", config, columns, rows)
+    _emit(args, columns, rows)
     return 0 if all_pass else 1
 
 
@@ -370,18 +340,8 @@ def cmd_race(args) -> int:
         for summary in summaries
         for row in race_csv_rows(summary)
     ]
-    config = {
-        "m": args.m,
-        "j": args.j,
-        "jprime": args.jprime,
-        "x_max": args.x_max,
-        "segment_size": args.segment_size,
-        "workers": args.workers,
-    }
     _emit(
         args,
-        "race",
-        config,
         RACE_COLUMNS,
         rows,
         json_rows=[summary.to_json_obj() for summary in summaries],
@@ -475,9 +435,7 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
 
 def cmd_selftest(args) -> int:
     checks = run_selftest(x_limit=args.x_limit, inject_fault=args.inject_fault)
-    config = {"x_limit": args.x_limit, "inject_fault": args.inject_fault}
-    columns = ["name", "passed", "detail"]
-    _emit(args, "selftest", config, columns, checks)
+    _emit(args, ["name", "passed", "detail"], checks)
     return 0 if all(check["passed"] for check in checks) else 1
 
 
@@ -624,6 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"omegadist: i/o error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"omegadist: sieve worker died: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import root_table
+from .residues import residue_lut, root_table
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     OmegaSegment,
     PrimeTable,
+    clip_segments,
     iter_segments,
     primes_up_to,
 )
@@ -34,20 +35,13 @@ class DirichletEvaluation:
     m: int
     k: int
     s: complex
-    method: str  # "truncated-sum" or "euler-product"
+    method: str  # "truncated-sum", "euler-product" or "g-product"
     cutoff: int  # n_max or p_max
     value: complex
 
 
-@dataclass(frozen=True)
-class GFactorEvaluation:
-    """Partial product of the regular (zeta-compensated) Euler factors."""
-
-    m: int
-    k: int
-    s: complex
-    cutoff: int
-    value: complex
+#: Former name of the euler_G result type, kept for callers that import it.
+GFactorEvaluation = DirichletEvaluation
 
 
 @dataclass(frozen=True)
@@ -118,26 +112,14 @@ def truncated_L(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    weights = root_table(m).powers[(np.arange(64) * k) % m]
+    weights = root_table(m).powers[(residue_lut(m) * k) % m]
     total = 0j
-    expected_lo = 1
     source = omega_source if omega_source is not None else iter_segments(
         n_max, segment_size=segment_size
     )
-    for segment in source:
-        if segment.lo != expected_lo:
-            raise ValueError(
-                f"omega source skipped to {segment.lo}, expected {expected_lo}"
-            )
-        hi = min(segment.hi, n_max + 1)
-        values = segment.values[: hi - segment.lo]
-        n = np.arange(segment.lo, hi, dtype=np.float64)
+    for lo, values in clip_segments(source, n_max):
+        n = np.arange(lo, lo + len(values), dtype=np.float64)
         total += complex(np.sum(weights[values] * n ** (-s)))
-        expected_lo = hi
-        if hi > n_max:
-            break
-    if expected_lo <= n_max:
-        raise ValueError(f"omega source ended at {expected_lo - 1}, need {n_max}")
     return DirichletEvaluation(
         m=m, k=k, s=s, method="truncated-sum", cutoff=n_max, value=total
     )
@@ -153,6 +135,20 @@ def _primes_below(p_max: int, table: PrimeTable | None) -> np.ndarray:
     return table.primes[table.primes <= p_max].astype(np.float64)
 
 
+def _euler_product(
+    m: int, k: int, s: complex, p_max: int, table: PrimeTable | None, method: str, factor
+) -> DirichletEvaluation:
+    """Multiply factor(zeta_m^k, p^(-s)) over the primes p <= p_max, in
+    ascending prime order so the rounding is reproducible."""
+    w = complex(root_table(m).powers[k])
+    value = 1.0 + 0j
+    for term in factor(w, _primes_below(p_max, table) ** (-s)):
+        value *= complex(term)
+    return DirichletEvaluation(
+        m=m, k=k, s=s, method=method, cutoff=int(p_max), value=value
+    )
+
+
 def euler_L(
     m: int,
     k: int,
@@ -160,24 +156,14 @@ def euler_L(
     p_max: int,
     table: PrimeTable | None = None,
 ) -> DirichletEvaluation:
-    """Euler product over p <= p_max of (1 - zeta_m^k * p^(-s))^(-1).
-
-    Factors are multiplied in ascending prime order so the rounding is
-    reproducible.
-    """
+    """Euler product over p <= p_max of (1 - zeta_m^k * p^(-s))^(-1)."""
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError(f"Euler product needs Re s > 1, got {s}")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    primes = _primes_below(p_max, table)
-    w = complex(root_table(m).powers[k])
-    factors = 1.0 / (1.0 - w * primes ** (-s))
-    value = 1.0 + 0j
-    for factor in factors:
-        value *= complex(factor)
-    return DirichletEvaluation(
-        m=m, k=k, s=s, method="euler-product", cutoff=int(p_max), value=value
+    return _euler_product(
+        m, k, s, p_max, table, "euler-product", lambda w, z: 1.0 / (1.0 - w * z)
     )
 
 
@@ -187,7 +173,7 @@ def euler_G(
     s: complex,
     p_max: int,
     table: PrimeTable | None = None,
-) -> GFactorEvaluation:
+) -> DirichletEvaluation:
     """Partial product of (1 - zeta_m^k p^(-s))^(-1) * (1 - p^(-s))^(zeta_m^k).
 
     The second factor strips the zeta_m^k-th power of the zeta factor, which
@@ -203,14 +189,10 @@ def euler_G(
         raise ValueError(f"need s > 1, got {s_real}")
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
-    primes = _primes_below(p_max, table)
-    w = complex(root_table(m).powers[k])
-    z = primes ** (-s_real)
-    factors = np.exp(w * np.log1p(-z)) / (1.0 - w * z)
-    value = 1.0 + 0j
-    for factor in factors:
-        value *= complex(factor)
-    return GFactorEvaluation(m=m, k=k, s=s_real, cutoff=int(p_max), value=value)
+    return _euler_product(
+        m, k, s_real, p_max, table, "g-product",
+        lambda w, z: np.exp(w * np.log1p(-z)) / (1.0 - w * z),
+    )
 
 
 def check_lquo(
@@ -233,6 +215,24 @@ def check_lquo(
     )
 
 
+def _product_check(
+    check: str, evaluate, ks: range, m: int, s: complex, p_max: int,
+    table: PrimeTable | None, zeta_terms: int,
+) -> IdentityReport:
+    """Multiply evaluate(m, k, s, p_max, table) over k in ks and compare the
+    product with zeta(m*s)."""
+    s = complex(s)
+    lhs = 1.0 + 0j
+    for k in ks:
+        lhs *= evaluate(m, k, s, p_max, table).value
+    return IdentityReport(
+        check=check,
+        params={"m": m, "s": _plain_s(s), "p_max": int(p_max), "zeta_terms": int(zeta_terms)},
+        lhs=lhs,
+        rhs=zeta_ref(m * s, zeta_terms),
+    )
+
+
 def check_identity_product(
     m: int,
     s: complex,
@@ -245,18 +245,10 @@ def check_identity_product(
     Per prime the factors multiply to (1 - p^(-ms))^(-1), because the m-th
     roots of unity are exactly the roots of z^m - 1.
     """
-    s = complex(s)
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    lhs = 1.0 + 0j
-    for k in range(m):
-        lhs *= euler_L(m, k, s, p_max, table).value
-    rhs = zeta_ref(m * s, zeta_terms)
-    return IdentityReport(
-        check="full-product",
-        params={"m": m, "s": _plain_s(s), "p_max": int(p_max), "zeta_terms": int(zeta_terms)},
-        lhs=lhs,
-        rhs=rhs,
+    return _product_check(
+        "full-product", euler_L, range(m), m, s, p_max, table, zeta_terms
     )
 
 
@@ -275,13 +267,6 @@ def check_g_product(
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}: the product is over 0 < k < m")
-    lhs = 1.0 + 0j
-    for k in range(1, m):
-        lhs *= euler_G(m, k, s, p_max, table).value
-    rhs = zeta_ref(m * complex(s).real, zeta_terms)
-    return IdentityReport(
-        check="g-product",
-        params={"m": m, "s": _plain_s(complex(s).real), "p_max": int(p_max), "zeta_terms": int(zeta_terms)},
-        lhs=lhs,
-        rhs=rhs,
+    return _product_check(
+        "g-product", euler_G, range(1, m), m, s, p_max, table, zeta_terms
     )

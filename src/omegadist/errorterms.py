@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import ResidueTally, RootTable, root_table
+from .residues import ResidueTally, RootTable, _roots_for, fold_counts
 from .sieve import DEFAULT_SEGMENT_SIZE, PrimeTable, iter_segments
 
 #: Four checkpoints per decade.
@@ -138,13 +138,6 @@ def record_many(
     counts = {m: np.zeros(m, dtype=np.int64) for m in moduli}
     series = {m: CheckpointSeries(m=m) for m in moduli}
 
-    def fold(block: np.ndarray) -> None:
-        if len(block) == 0:
-            return
-        hist = np.bincount(block, minlength=64).astype(np.int64)
-        for m in moduli:
-            np.add.at(counts[m], np.arange(len(hist)) % m, hist)
-
     next_cp = 0
     for segment in iter_segments(
         x_max, table=table, segment_size=segment_size, workers=workers
@@ -152,13 +145,13 @@ def record_many(
         start = 0
         while next_cp < len(schedule) and schedule[next_cp] < segment.hi:
             x = schedule[next_cp]
-            fold(segment.values[start : x - segment.lo + 1])
+            fold_counts(segment.values[start : x - segment.lo + 1], counts.values())
             start = x - segment.lo + 1
             for m in moduli:
                 tally = ResidueTally(m=m, x=x, counts=counts[m].copy())
                 series[m].checkpoints.append(checkpoint(tally))
             next_cp += 1
-        fold(segment.values[start:])
+        fold_counts(segment.values[start:], counts.values())
     return series
 
 
@@ -177,19 +170,25 @@ def record_series(
     )[m]
 
 
-def _fit_loglog(xs: list[int], magnitudes: list[float], index: int) -> GrowthFit:
-    if len(xs) < MIN_FIT_POINTS:
+def _fit_loglog(
+    series: CheckpointSeries, magnitudes: list[float], index: int
+) -> GrowthFit:
+    """Fit log magnitude against log x over the checkpoints where the
+    magnitude (one per checkpoint) is nonzero."""
+    points = [(cp.x, y) for cp, y in zip(series.checkpoints, magnitudes) if y != 0]
+    if len(points) < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"need at least {MIN_FIT_POINTS} nonzero checkpoints, have {len(xs)}"
+            f"need at least {MIN_FIT_POINTS} nonzero checkpoints, have {len(points)}"
         )
+    xs, ys = zip(*points)
     log_x = np.log(np.asarray(xs, dtype=np.float64))
-    log_y = np.log(np.asarray(magnitudes, dtype=np.float64))
+    log_y = np.log(np.asarray(ys, dtype=np.float64))
     slope, intercept = np.polyfit(log_x, log_y, 1)
     residual = log_y - (slope * log_x + intercept)
     return GrowthFit(
         index=index,
         alpha_hat=float(slope),
-        points_used=len(xs),
+        points_used=len(points),
         residual_rms=float(np.sqrt(np.mean(residual**2))),
     )
 
@@ -201,14 +200,8 @@ def growth_exponent(series: CheckpointSeries, j: int) -> GrowthFit:
     """
     if not 0 <= j < series.m:
         raise ValueError(f"need 0 <= j < m, got j={j}, m={series.m}")
-    xs: list[int] = []
-    magnitudes: list[float] = []
-    for cp in series.checkpoints:
-        scaled = int(cp.scaled_residuals[j])
-        if scaled != 0:
-            xs.append(cp.x)
-            magnitudes.append(abs(scaled) / series.m)
-    return _fit_loglog(xs, magnitudes, j)
+    magnitudes = [abs(int(cp.scaled_residuals[j])) / series.m for cp in series.checkpoints]
+    return _fit_loglog(series, magnitudes, j)
 
 
 def character_growth_exponent(
@@ -218,16 +211,7 @@ def character_growth_exponent(
     m = series.m
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
-    if roots is None:
-        roots = root_table(m)
-    elif roots.m != m:
-        raise ValueError(f"root table is for modulus {roots.m}, need {m}")
+    roots = _roots_for(m, roots)
     weights = roots.powers[(np.arange(m) * k) % m]
-    xs: list[int] = []
-    magnitudes: list[float] = []
-    for cp in series.checkpoints:
-        magnitude = abs(complex(np.sum(weights * cp.counts())))
-        if magnitude != 0.0:
-            xs.append(cp.x)
-            magnitudes.append(magnitude)
-    return _fit_loglog(xs, magnitudes, k)
+    magnitudes = [abs(complex(np.sum(weights * cp.counts()))) for cp in series.checkpoints]
+    return _fit_loglog(series, magnitudes, k)

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, PrimeTable, iter_segments
+from .residues import residue_lut
+from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, PrimeTable, clip_segments, iter_segments
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -130,26 +131,14 @@ def _scan(
         if j == jprime:
             raise ValueError(f"classes must differ, got j = jprime = {j}")
     scanners = [_PairScanner(m, j, jprime) for j, jprime in pairs]
-    lut = np.arange(64, dtype=np.intp) % m
+    lut = residue_lut(m)
     source = omega_source if omega_source is not None else iter_segments(
         x_max, table=table, segment_size=segment_size, workers=workers
     )
-    expected_lo = 1
-    for segment in source:
-        if segment.lo != expected_lo:
-            raise ValueError(
-                f"omega source skipped to {segment.lo}, expected {expected_lo}"
-            )
-        hi = min(segment.hi, x_max + 1)
-        residues = lut[segment.values[: hi - segment.lo]]
-        if len(residues):
-            for scanner in scanners:
-                scanner.feed(residues, segment.lo)
-        expected_lo = hi
-        if hi > x_max:
-            break
-    if expected_lo <= x_max:
-        raise ValueError(f"omega source ended at {expected_lo - 1}, need {x_max}")
+    for lo, values in clip_segments(source, x_max):
+        residues = lut[values]
+        for scanner in scanners:
+            scanner.feed(residues, lo)
     return [scanner.summary(x_max) for scanner in scanners]
 
 

@@ -11,6 +11,7 @@ recovers the tally bit for bit (up to the documented rounding tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -63,6 +64,23 @@ def lambda_value(omega: int, m: int, k: int, roots: RootTable | None = None) -> 
     return complex(roots.powers[(k * omega) % m])
 
 
+def residue_lut(m: int) -> np.ndarray:
+    """lut[w] = w mod m for every 8-bit Omega value w (Omega(n) < 64)."""
+    return np.arange(64, dtype=np.intp) % m
+
+
+def fold_counts(values: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
+    """Add the residue-class counts of a slice of Omega values into each
+    array of class_counts, in place, modulo that array's length.
+
+    One 64-bin histogram of the slice serves every modulus, so the cost per
+    extra modulus is ~64 adds, not another pass over the values.
+    """
+    hist = np.bincount(values, minlength=64).astype(np.int64)
+    for counts in class_counts:
+        np.add.at(counts, residue_lut(len(counts)), hist)
+
+
 @dataclass
 class ResidueTally:
     """counts[j] = #{n in [lo, x] : Omega(n) = j (mod m)}.
@@ -98,8 +116,7 @@ def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"
         )
-    hist = np.bincount(segment.values, minlength=64).astype(np.int64)
-    np.add.at(tally.counts, np.arange(len(hist)) % tally.m, hist)
+    fold_counts(segment.values, [tally.counts])
     tally.x = segment.hi - 1
     return tally
 

@@ -16,7 +16,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +47,29 @@ class OmegaSegment:
     lo: int
     hi: int
     values: np.ndarray
+
+
+def clip_segments(
+    source: Iterable[OmegaSegment], x_max: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, values) covering exactly 1..x_max from any segment source.
+
+    The source must start at 1 and be contiguous; the segment that crosses
+    x_max is clipped and nothing after it is read.  Raises ValueError if the
+    source skips ahead or ends before x_max.
+    """
+    expected_lo = 1
+    for segment in source:
+        if segment.lo != expected_lo:
+            raise ValueError(
+                f"omega source skipped to {segment.lo}, expected {expected_lo}"
+            )
+        hi = min(segment.hi, x_max + 1)
+        yield segment.lo, segment.values[: hi - segment.lo]
+        expected_lo = hi
+        if hi > x_max:
+            return
+    raise ValueError(f"omega source ended at {expected_lo - 1}, need {x_max}")
 
 
 def primes_up_to(limit: int) -> PrimeTable:

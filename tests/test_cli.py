@@ -4,10 +4,16 @@ worker-count determinism, and the selftest fault hook."""
 import csv
 import io
 import json
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from omegadist.cli import main, run_selftest
+from omegadist import sieve
+from omegadist.cli import build_parser, main, run_selftest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +199,39 @@ def test_output_io_error(capsys):
     )
     assert code == 3
     assert "i/o" in err.lower()
+
+
+def _die_in_worker(lo, hi, limit):
+    os._exit(1)
+
+
+def test_worker_crash_exits_4(capsys, monkeypatch):
+    # Forked pool workers inherit the patched sieve and die on their first
+    # block; the parent must report that as exit 4, not a traceback.
+    monkeypatch.setattr(sieve, "_block_values", _die_in_worker)
+    code, out, err = run_cli(
+        capsys, "density", "--m", "3", "--x-max", "5000", "--workers", "2",
+        "--segment-size", "1024",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("omegadist: sieve worker died")
+    assert err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text(encoding="utf-8").split("## Command-line interface")[1]
+    lines = [
+        line for line in block.split("```")[1].splitlines()
+        if line.startswith("omegadist ")
+    ]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_usage_error_on_tiny_segment_size(capsys):

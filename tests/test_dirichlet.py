@@ -79,19 +79,6 @@ def test_truncated_L_accepts_custom_source():
     assert abs(a.value - b.value) < 1e-15
 
 
-def test_truncated_L_rejects_gapped_source():
-    segments = list(iter_segments(1000, segment_size=128))
-    del segments[1]
-    with pytest.raises(ValueError):
-        truncated_L(3, 1, 2.0, 1000, omega_source=segments)
-
-
-def test_truncated_L_rejects_short_source():
-    segments = list(iter_segments(500, segment_size=128))
-    with pytest.raises(ValueError):
-        truncated_L(3, 1, 2.0, 1000, omega_source=segments)
-
-
 def test_truncated_L_validates_domain():
     with pytest.raises(ValueError):
         truncated_L(2, 1, 1.0, 100)

@@ -1,5 +1,6 @@
-"""Race-scan tests: hand-traced small examples, consistency with the exact
-tallies, event alternation, and the pair enumeration."""
+"""Race-scan tests: hand-traced small examples, a per-n brute-force reference,
+consistency with the exact tallies, event alternation, and the pair
+enumeration."""
 
 import io
 import itertools
@@ -15,7 +16,7 @@ from omegadist.race import (
     write_csv,
 )
 from omegadist.residues import tally_range
-from omegadist.sieve import iter_segments
+from omegadist.sieve import iter_segments, omega_single
 
 
 def test_hand_traced_m2():
@@ -84,6 +85,34 @@ def test_segment_size_invisible():
         (e.x, e.direction) for e in b.events
     ]
     assert (a.lead_pos, a.lead_neg, a.lead_tie) == (b.lead_pos, b.lead_neg, b.lead_tie)
+
+
+def _reference_race(omegas, m, j, jprime):
+    """Per-n scan of Delta = N_j - N_j' straight from the definition."""
+    delta = last_sign = 0
+    events = []
+    leads = {1: 0, -1: 0, 0: 0}
+    for n, omega in enumerate(omegas, start=1):
+        delta += (omega % m == j) - (omega % m == jprime)
+        sign = (delta > 0) - (delta < 0)
+        leads[sign] += 1
+        if sign != 0:
+            if last_sign != 0 and sign != last_sign:
+                direction = NEGATIVE_TO_POSITIVE if sign > 0 else POSITIVE_TO_NEGATIVE
+                events.append((n, direction))
+            last_sign = sign
+    return events, (leads[1], leads[-1], leads[0]), delta
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_all_pairs_matches_per_n_reference(m):
+    x_max = 5000  # several 1024-blocks, so the scan state crosses boundaries
+    omegas = [omega_single(n) for n in range(1, x_max + 1)]
+    for summary in all_pairs(m, x_max, segment_size=1024):
+        events, leads, delta = _reference_race(omegas, m, summary.j, summary.jprime)
+        assert [(e.x, e.direction) for e in summary.events] == events
+        assert (summary.lead_pos, summary.lead_neg, summary.lead_tie) == leads
+        assert summary.final_delta == delta
 
 
 def test_all_pairs_enumeration():

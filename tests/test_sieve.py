@@ -1,5 +1,6 @@
 """Sieve unit tests: small known values, oracle equivalence on random blocks,
-segment-boundary independence, and argument validation."""
+segment-boundary independence, argument validation, and the source checks
+of the stream consumers."""
 
 import math
 import random
@@ -7,6 +8,8 @@ import random
 import numpy as np
 import pytest
 
+from omegadist.dirichlet import truncated_L
+from omegadist.race import race_scan
 from omegadist.sieve import (
     OmegaSegment,
     iter_segments,
@@ -143,6 +146,28 @@ def test_iter_segments_validates_arguments():
         list(iter_segments(10, workers=0))
     with pytest.raises(ValueError):
         list(iter_segments(10, segment_size=0))
+
+
+# Both consumers of a caller-supplied Omega stream, reading 1..1000.
+STREAM_CONSUMERS = {
+    "truncated_L": lambda source: truncated_L(3, 1, 2.0, 1000, omega_source=source),
+    "race_scan": lambda source: race_scan(3, 0, 1, 1000, omega_source=source),
+}
+
+
+@pytest.mark.parametrize("consumer", list(STREAM_CONSUMERS))
+def test_consumers_reject_gapped_source(consumer):
+    segments = list(iter_segments(1000, segment_size=128))
+    del segments[1]
+    with pytest.raises(ValueError, match="skipped to 257, expected 129"):
+        STREAM_CONSUMERS[consumer](segments)
+
+
+@pytest.mark.parametrize("consumer", list(STREAM_CONSUMERS))
+def test_consumers_reject_short_source(consumer):
+    segments = list(iter_segments(500, segment_size=128))
+    with pytest.raises(ValueError, match="ended at 500, need 1000"):
+        STREAM_CONSUMERS[consumer](segments)
 
 
 def test_uint8_headroom():
