@@ -6,8 +6,9 @@ single JSON document {"command", "config", "rows"}.  Reals are rendered with
 15 significant digits.  Output is byte-identical for identical flags
 regardless of --workers.
 
-Exit codes: 0 success, 1 tolerance or self-check failure, 2 usage error,
-3 I/O error, 4 a sieve worker process died.
+Exit codes: 0 success, 1 tolerance or self-check failure, 2 usage error
+(including a NaN flag value, and a run too large to fit in memory), 3 I/O
+error, 4 a sieve worker process died.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .errorterms import (
     record_many,
 )
 from .hall import hall_constants, hall_rhs, predicted_bound
-from .race import CSV_COLUMNS as RACE_COLUMNS
-from .race import all_pairs, csv_rows as race_csv_rows, race_scan
+from .race import all_pairs, race_scan
 from .residues import (
     InconsistentTransformError,
     counts_from_sums,
@@ -257,13 +257,13 @@ def cmd_dirichlet_check(args) -> int:
     """Numeric identity checks; exits 1 unless every deviation is within
     tolerance."""
     moduli = _moduli(args)
-    if args.s <= 1.0:
+    if not args.s > 1.0:
         raise ValueError(f"s must be > 1, got {args.s}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     if args.p_max < 2:
         raise ValueError(f"p-max must be >= 2, got {args.p_max}")
-    if args.tolerance <= 0:
+    if not args.tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {args.tolerance}")
     table = primes_up_to(args.p_max)
     reports = [(2, args.n_max, None, check_lquo(args.s, args.n_max))]
@@ -335,17 +335,36 @@ def cmd_race(args) -> int:
             segment_size=args.segment_size,
             workers=args.workers,
         )
-    rows = [
-        dict(zip(RACE_COLUMNS, row))
-        for summary in summaries
-        for row in race_csv_rows(summary)
+    # CSV: a row per sign change, then a summary row at x = x_max.  JSON:
+    # one row per pair, with the sign changes nested under "events".
+    rows, json_rows = [], []
+    for summary in summaries:
+        pair = {"m": summary.m, "j": summary.j, "jprime": summary.jprime}
+        events = [{"x": e.x, "direction": e.direction} for e in summary.events]
+        leads = {
+            "lead_pos": summary.lead_pos,
+            "lead_neg": summary.lead_neg,
+            "lead_tie": summary.lead_tie,
+            "final_delta": summary.final_delta,
+        }
+        rows += [{**pair, **event} for event in events]
+        rows.append({**pair, "x": summary.x_max, "direction": "summary", **leads})
+        json_rows.append(
+            {**pair, "x_max": summary.x_max, **leads,
+             "sign_changes": len(events), "events": events}
+        )
+    columns = [
+        "m",
+        "j",
+        "jprime",
+        "x",
+        "direction",
+        "lead_pos",
+        "lead_neg",
+        "lead_tie",
+        "final_delta",
     ]
-    _emit(
-        args,
-        RACE_COLUMNS,
-        rows,
-        json_rows=[summary.to_json_obj() for summary in summaries],
-    )
+    _emit(args, columns, rows, json_rows)
     return 0
 
 
@@ -578,6 +597,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OverflowError) as exc:
         print(f"omegadist: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"omegadist: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"omegadist: i/o error: {exc}", file=sys.stderr)

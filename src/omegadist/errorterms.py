@@ -9,13 +9,12 @@ log|R| against log x.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .residues import ResidueTally, RootTable, _roots_for, fold_counts
+from .residues import ResidueTally, fold_counts, root_table
 from .sieve import DEFAULT_SEGMENT_SIZE, PrimeTable, iter_segments
 
 #: Four checkpoints per decade.
@@ -63,23 +62,6 @@ class CheckpointSeries:
 
     m: int
     checkpoints: list[ErrorCheckpoint] = field(default_factory=list)
-
-    def to_csv(self, fileobj) -> None:
-        """One row per (x, j): header m,x,j,scaled_residual."""
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["m", "x", "j", "scaled_residual"])
-        for cp in self.checkpoints:
-            for j, sr in enumerate(cp.scaled_residuals):
-                writer.writerow([self.m, cp.x, j, int(sr)])
-
-    def to_json_obj(self) -> dict:
-        """Same fields as the CSV, as a JSON-ready document."""
-        rows = [
-            {"m": self.m, "x": cp.x, "j": j, "scaled_residual": int(sr)}
-            for cp in self.checkpoints
-            for j, sr in enumerate(cp.scaled_residuals)
-        ]
-        return {"m": self.m, "rows": rows}
 
 
 def checkpoint(tally: ResidueTally) -> ErrorCheckpoint:
@@ -204,14 +186,11 @@ def growth_exponent(series: CheckpointSeries, j: int) -> GrowthFit:
     return _fit_loglog(series, magnitudes, j)
 
 
-def character_growth_exponent(
-    series: CheckpointSeries, k: int, roots: RootTable | None = None
-) -> GrowthFit:
+def character_growth_exponent(series: CheckpointSeries, k: int) -> GrowthFit:
     """Same fit for |S_k(x)|, rebuilt from the checkpointed counts."""
     m = series.m
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
-    roots = _roots_for(m, roots)
-    weights = roots.powers[(np.arange(m) * k) % m]
+    weights = root_table(m).powers[(np.arange(m) * k) % m]
     magnitudes = [abs(complex(np.sum(weights * cp.counts()))) for cp in series.checkpoints]
     return _fit_loglog(series, magnitudes, k)

@@ -10,7 +10,6 @@ sets the starting sign and is not an event.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,20 +43,6 @@ class RaceSummary:
     lead_neg: int   # ... with Delta(n) < 0
     lead_tie: int   # ... with Delta(n) == 0
     final_delta: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "j": self.j,
-            "jprime": self.jprime,
-            "x_max": self.x_max,
-            "lead_pos": self.lead_pos,
-            "lead_neg": self.lead_neg,
-            "lead_tie": self.lead_tie,
-            "final_delta": self.final_delta,
-            "sign_changes": len(self.events),
-            "events": [{"x": e.x, "direction": e.direction} for e in self.events],
-        }
 
 
 class _PairScanner:
@@ -185,50 +170,3 @@ def all_pairs(
         workers=workers,
         omega_source=omega_source,
     )
-
-
-CSV_COLUMNS = [
-    "m",
-    "j",
-    "jprime",
-    "x",
-    "direction",
-    "lead_pos",
-    "lead_neg",
-    "lead_tie",
-    "final_delta",
-]
-
-
-def csv_rows(summary: RaceSummary) -> list[list]:
-    """Event rows plus one trailing summary row; None marks blank cells.
-
-    Event rows fill m,j,jprime,x,direction; the summary row carries
-    direction "summary" with the lead tallies and final Delta.
-    """
-    head = [summary.m, summary.j, summary.jprime]
-    rows = [
-        head + [event.x, event.direction, None, None, None, None]
-        for event in summary.events
-    ]
-    rows.append(
-        head
-        + [
-            summary.x_max,
-            "summary",
-            summary.lead_pos,
-            summary.lead_neg,
-            summary.lead_tie,
-            summary.final_delta,
-        ]
-    )
-    return rows
-
-
-def write_csv(summaries: Iterable[RaceSummary], fileobj) -> None:
-    """RFC-4180 rendering of csv_rows for one or more summaries."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for summary in summaries:
-        for row in csv_rows(summary):
-            writer.writerow(["" if cell is None else cell for cell in row])

@@ -53,15 +53,15 @@ def root_table(m: int) -> RootTable:
     return RootTable(m=m, powers=powers)
 
 
-def lambda_value(omega: int, m: int, k: int, roots: RootTable | None = None) -> complex:
+def lambda_value(omega: int, m: int, k: int) -> complex:
     """zeta_m^(k*omega), the completely multiplicative unit-root twist
     evaluated from a known Omega value."""
     if omega < 0:
         raise ValueError(f"omega must be >= 0, got {omega}")
-    roots = _roots_for(m, roots)
+    powers = root_table(m).powers
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    return complex(roots.powers[(k * omega) % m])
+    return complex(powers[(k * omega) % m])
 
 
 def residue_lut(m: int) -> np.ndarray:
@@ -172,52 +172,42 @@ class CharacterSumSet:
     sums: np.ndarray
 
 
-def _roots_for(m: int, roots: RootTable | None) -> RootTable:
-    if roots is None:
-        return root_table(m)
-    if roots.m != m:
-        raise ValueError(f"root table is for modulus {roots.m}, need {m}")
-    return roots
-
-
-def sums_from_counts(tally: ResidueTally, roots: RootTable | None = None) -> CharacterSumSet:
+def sums_from_counts(tally: ResidueTally) -> CharacterSumSet:
     """Forward transform: sums[k] = sum_j zeta_m^(j*k) * counts[j]."""
     if tally.lo != 1:
         raise ValueError("character sums are defined for tallies anchored at 1")
-    roots = _roots_for(tally.m, roots)
     m = tally.m
     jk = np.outer(np.arange(m), np.arange(m)) % m
-    sums = roots.powers[jk] @ tally.counts.astype(np.complex128)
+    sums = root_table(m).powers[jk] @ tally.counts.astype(np.complex128)
     return CharacterSumSet(m=m, x=tally.x, sums=sums)
 
 
-def _inverse_raw(sums: CharacterSumSet, roots: RootTable | None) -> np.ndarray:
-    roots = _roots_for(sums.m, roots)
+def _inverse_raw(sums: CharacterSumSet) -> np.ndarray:
     m = sums.m
     jk = (-np.outer(np.arange(m), np.arange(m))) % m
-    return roots.powers[jk] @ sums.sums / m
+    return root_table(m).powers[jk] @ sums.sums / m
 
 
-def inverse_residuals(sums: CharacterSumSet, roots: RootTable | None = None) -> tuple[float, float]:
+def inverse_residuals(sums: CharacterSumSet) -> tuple[float, float]:
     """Pre-rounding quality of the inverse transform.
 
     Returns (max distance of the real parts from integers, max absolute
     imaginary part).  Both are ~1e-10 for genuine sums at any realistic x.
     """
-    raw = _inverse_raw(sums, roots)
+    raw = _inverse_raw(sums)
     return (
         float(np.max(np.abs(raw.real - np.rint(raw.real)))),
         float(np.max(np.abs(raw.imag))),
     )
 
 
-def counts_from_sums(sums: CharacterSumSet, roots: RootTable | None = None) -> ResidueTally:
+def counts_from_sums(sums: CharacterSumSet) -> ResidueTally:
     """Inverse transform: counts[j] = round((1/m) sum_k zeta_m^(-j*k) sums[k]).
 
     Raises InconsistentTransformError if any pre-rounding value sits farther
     than ROUNDING_TOLERANCE from an integer, or off the real axis by more.
     """
-    raw = _inverse_raw(sums, roots)
+    raw = _inverse_raw(sums)
     worst_imag = float(np.max(np.abs(raw.imag)))
     if worst_imag > ROUNDING_TOLERANCE:
         raise InconsistentTransformError(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from omegadist import sieve
+from omegadist import cli, sieve
 from omegadist.cli import build_parser, main, run_selftest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -140,6 +140,19 @@ def test_dirichlet_check_rejects_bad_s(capsys):
     assert "s must be > 1" in err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--s", "s must be > 1"), ("--tolerance", "tolerance must be > 0")],
+    ids=["s", "tolerance"],
+)
+def test_dirichlet_check_rejects_nan_flag(capsys, flag, message):
+    # NaN fails every comparison, so only a "not value > bound" check stops it.
+    code, out, err = run_cli(capsys, "dirichlet-check", "--m", "3", flag, "nan")
+    assert code == 2
+    assert out == ""
+    assert err == f"omegadist: {message}, got nan\n"
+
+
 def test_race_events_csv(capsys):
     code, out, _ = run_cli(
         capsys, "race", "--m", "2", "--j", "0", "--jprime", "1", "--x-max", "10"
@@ -153,6 +166,31 @@ def test_race_events_csv(capsys):
         "1", "5", "4"
     )
     assert summary["final_delta"] == "0"
+
+
+def test_race_csv_rows_and_writer(capsys):
+    code, out, _ = run_cli(capsys, "race", "--m", "2", "--x-max", "10")
+    assert code == 0
+    assert out == (
+        "m,j,jprime,x,direction,lead_pos,lead_neg,lead_tie,final_delta\n"
+        "2,0,1,3,positive-to-negative,,,,\n"
+        "2,0,1,10,summary,1,5,4,0\n"
+    )
+
+
+def test_race_json_shape(capsys):
+    code, out, _ = run_cli(
+        capsys, "race", "--m", "2", "--x-max", "10", "--format", "json"
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert list(row) == [
+        "m", "j", "jprime", "x_max", "lead_pos", "lead_neg", "lead_tie",
+        "final_delta", "sign_changes", "events",
+    ]
+    assert row["sign_changes"] == 1
+    assert row["events"] == [{"x": 3, "direction": "positive-to-negative"}]
+    assert row["lead_pos"] + row["lead_neg"] + row["lead_tie"] == row["x_max"]
 
 
 def test_race_all_pairs_json(capsys):
@@ -217,6 +255,31 @@ def test_worker_crash_exits_4(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("omegadist: sieve worker died")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (
+            ["hall", "--m", "3", "--x-max", "100"],
+            MemoryError("Unable to allocate 9.09 TiB for an array"),
+            "Unable to allocate 9.09 TiB for an array",
+        ),
+        (["dirichlet-check", "--m", "3"], MemoryError(), "allocation failed"),
+    ],
+    ids=["hall", "dirichlet-check"],
+)
+def test_out_of_memory_exits_2(capsys, monkeypatch, argv, error, message):
+    # A real allocation of that size must not be attempted here: with memory
+    # overcommit it succeeds, and the OOM killer ends the test run instead.
+    def fail(limit):
+        raise error
+
+    monkeypatch.setattr(cli, "primes_up_to", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"omegadist: out of memory: {message}\n"
 
 
 def test_readme_cli_examples_parse():

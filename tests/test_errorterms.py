@@ -1,10 +1,5 @@
 """Checkpoint and growth-fit tests: exact residual snapshots, the zero-sum
-identity, schedule arithmetic, synthetic fits with known slopes, and the
-serialization round trip."""
-
-import csv
-import io
-import json
+identity, schedule arithmetic and synthetic fits with known slopes."""
 
 import numpy as np
 import pytest
@@ -195,25 +190,6 @@ def test_insufficient_checkpoints():
         )
     with pytest.raises(InsufficientDataError):
         growth_exponent(short, 0)
-
-
-def test_csv_and_json_serialization_roundtrip():
-    series = record_series(3, 100)
-    buffer = io.StringIO()
-    series.to_csv(buffer)
-    text = buffer.getvalue()
-    assert "\r" not in text  # LF endings only
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 3 * len(series.checkpoints)
-    first = rows[0]
-    assert first["m"] == "3" and first["x"] == "10" and first["j"] == "0"
-    # JSON carries the same cells
-    doc = json.loads(json.dumps(series.to_json_obj()))
-    assert doc["m"] == 3
-    assert len(doc["rows"]) == len(rows)
-    for csv_row, json_row in zip(rows, doc["rows"]):
-        assert int(csv_row["x"]) == json_row["x"]
-        assert int(csv_row["scaled_residual"]) == json_row["scaled_residual"]
 
 
 def test_default_ratio_is_quarter_decade():

@@ -2,7 +2,6 @@
 consistency with the exact tallies, event alternation, and the pair
 enumeration."""
 
-import io
 import itertools
 
 import pytest
@@ -11,9 +10,7 @@ from omegadist.race import (
     NEGATIVE_TO_POSITIVE,
     POSITIVE_TO_NEGATIVE,
     all_pairs,
-    csv_rows,
     race_scan,
-    write_csv,
 )
 from omegadist.residues import tally_range
 from omegadist.sieve import iter_segments, omega_single
@@ -146,24 +143,3 @@ def test_validation_errors():
         race_scan(1, 0, 0, 100)
     with pytest.raises(ValueError):
         race_scan(3, 0, 1, 0)
-
-
-def test_csv_rows_and_writer():
-    summary = race_scan(2, 0, 1, 10)
-    rows = csv_rows(summary)
-    assert rows[-1][4] == "summary"
-    assert rows[-1][5:] == [1, 5, 4, 0]
-    buffer = io.StringIO()
-    write_csv([summary], buffer)
-    text = buffer.getvalue()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("m,j,jprime,x,direction")
-    assert len(lines) == 1 + len(rows)
-    assert "\r" not in text
-
-
-def test_json_shape():
-    doc = race_scan(2, 0, 1, 10).to_json_obj()
-    assert doc["sign_changes"] == 1
-    assert doc["events"][0] == {"x": 3, "direction": POSITIVE_TO_NEGATIVE}
-    assert doc["lead_pos"] + doc["lead_neg"] + doc["lead_tie"] == doc["x_max"]

@@ -190,9 +190,3 @@ def test_sums_require_anchor_at_one():
     delta = ResidueTally(m=3, x=20, counts=np.array([1, 2, 2]), lo=16)
     with pytest.raises(ValueError):
         sums_from_counts(delta)
-
-
-def test_root_table_mismatch_rejected():
-    tally = tally_range(4, 100)
-    with pytest.raises(ValueError):
-        sums_from_counts(tally, roots=root_table(5))
