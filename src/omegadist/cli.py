@@ -259,6 +259,8 @@ def cmd_dirichlet_check(args) -> int:
     moduli = _moduli(args)
     if not args.s > 1.0:
         raise ValueError(f"s must be > 1, got {args.s}")
+    if math.isinf(args.s):
+        raise ValueError(f"s must be finite, got {args.s}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     if args.p_max < 2:

@@ -9,6 +9,7 @@ truncated sum plus the integral tail, which is accurate to roughly
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,6 +58,13 @@ class IdentityReport:
         return abs(self.lhs - self.rhs)
 
 
+def _require_finite(s: complex) -> None:
+    """Reject an infinite s, which passes the Re s > 1 checks and then
+    turns every sum and product into NaN."""
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+
+
 def zeta_ref(s: complex, terms: int) -> complex:
     """Reference zeta(s) for Re s > 1: truncated sum plus integral tail.
 
@@ -67,6 +75,7 @@ def zeta_ref(s: complex, terms: int) -> complex:
     s = complex(s)
     if not s.real > 1.0:
         raise ValueError(f"zeta_ref needs Re s > 1, got {s}")
+    _require_finite(s)
     if terms < 10:
         raise ValueError(f"terms must be >= 10, got {terms}")
     n = np.arange(1, terms + 1, dtype=np.float64)
@@ -92,6 +101,7 @@ def truncated_L(
     s = complex(s)
     if not s.real > 1.0:
         raise ValueError(f"truncation is only trusted for Re s > 1, got {s}")
+    _require_finite(s)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not 0 <= k < m:
@@ -144,6 +154,7 @@ def euler_L(
     s = complex(s)
     if not s.real > 1.0:
         raise ValueError(f"Euler product needs Re s > 1, got {s}")
+    _require_finite(s)
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     return _euler_product(
@@ -171,6 +182,7 @@ def euler_G(
     s_real = s.real
     if not s_real > 1.0:
         raise ValueError(f"need s > 1, got {s_real}")
+    _require_finite(s)
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     return _euler_product(

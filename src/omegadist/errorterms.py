@@ -9,6 +9,7 @@ log|R| against log x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -85,13 +86,17 @@ def checkpoint_schedule(x_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
         raise ValueError(f"x_max must be >= 10, got {x_max}")
     if not ratio > 1.0:
         raise ValueError(f"ratio must be > 1, got {ratio}")
+    if math.isinf(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio}")
     positions = {x_max}
     t = 0
     while True:
-        x = round(10.0 * ratio**t)
+        # Compared before rounding: a ratio near the float maximum makes
+        # 10 * ratio infinite, which round() cannot convert.
+        x = 10.0 * ratio**t
         if x > x_max:
             break
-        positions.add(x)
+        positions.add(round(x))
         t += 1
     return sorted(positions)
 

@@ -153,6 +153,33 @@ def test_dirichlet_check_rejects_nan_flag(capsys, flag, message):
     assert err == f"omegadist: {message}, got nan\n"
 
 
+def test_dirichlet_check_rejects_infinite_s(capsys):
+    # inf passes "not s > 1"; without a finiteness check every row was NaN.
+    code, out, err = run_cli(
+        capsys, "dirichlet-check", "--m", "3", "--s", "inf",
+        "--n-max", "1000", "--p-max", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "omegadist: s must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--m", "3", "--x-max", "100"],
+        ["error-growth", "--m", "3", "--x-max", "100"],
+        ["hall", "--m", "3", "--x-max", "100"],
+    ],
+    ids=["density", "error-growth", "hall"],
+)
+def test_infinite_ratio_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--ratio", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "omegadist: ratio must be finite, got inf\n"
+
+
 def test_race_events_csv(capsys):
     code, out, _ = run_cli(
         capsys, "race", "--m", "2", "--j", "0", "--jprime", "1", "--x-max", "10"

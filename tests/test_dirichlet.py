@@ -53,6 +53,22 @@ def test_zeta_ref_validates():
         zeta_ref(2.0, 5)
 
 
+@pytest.mark.parametrize("s", [math.inf, complex(2.0, math.inf)], ids=["inf", "inf-imag"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s: zeta_ref(s, 1000),
+        lambda s: truncated_L(3, 1, s, 100),
+        lambda s: euler_L(3, 1, s, 100),
+        lambda s: euler_G(3, 1, s, 100),
+    ],
+    ids=["zeta_ref", "truncated_L", "euler_L", "euler_G"],
+)
+def test_rejects_infinite_s(evaluate, s):
+    with pytest.raises(ValueError):
+        evaluate(s)
+
+
 def test_truncated_L_hand_computed():
     # lambda values for n = 1..10 under m = 2, k = 1: + - - + - + - - + +
     signs = [1, -1, -1, 1, -1, 1, -1, -1, 1, 1]

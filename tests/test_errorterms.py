@@ -71,6 +71,13 @@ def test_schedule_validates():
         checkpoint_schedule(9)
     with pytest.raises(ValueError):
         checkpoint_schedule(1000, ratio=1.0)
+    with pytest.raises(ValueError, match="ratio must be finite"):
+        checkpoint_schedule(1000, ratio=float("inf"))
+
+
+def test_schedule_ratio_near_float_max():
+    # 10 * ratio overflows to inf; the schedule is just the two ends.
+    assert checkpoint_schedule(100, ratio=1e308) == [10, 100]
 
 
 def test_record_series_matches_fresh_tallies():

@@ -1,12 +1,18 @@
-"""Sieve unit tests: small known values, oracle equivalence on random blocks,
-segment-boundary independence, argument validation, and the source checks
-of the stream consumers."""
+"""Sieve unit tests: small known values, oracle equivalence on random blocks
+and at the edges of the block sieve, segment-boundary independence,
+argument validation, and the source checks of the stream consumers."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test is skipped, the rest still runs
+    given = None
 
 from omegadist.dirichlet import truncated_L
 from omegadist.race import race_scan
@@ -99,6 +105,81 @@ def test_omega_block_segmentation_is_invisible():
     bounds = list(zip([1] + cuts, cuts + [n_max + 1]))
     pieces = [omega_block(lo, hi, table).values for lo, hi in bounds]
     assert np.array_equal(np.concatenate(pieces), whole)
+
+
+def assert_matches_oracle(lo, hi, table):
+    values = omega_block(lo, hi, table).values
+    assert values.dtype == np.uint8 and len(values) == hi - lo
+    assert values.tolist() == [omega_single(n) for n in range(lo, hi)]
+
+
+# Heights up to 10^13, one decade drawn uniformly, so most examples stay low
+# enough for the trial-division oracle.
+HEIGHT_LIMIT = 10**13
+
+
+@pytest.fixture(scope="module")
+def high_table():
+    return primes_up_to(math.isqrt(HEIGHT_LIMIT + 16))
+
+
+if given is not None:
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.integers(1, 13).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e)),
+        length=st.integers(1, 8),
+    )
+    def test_omega_block_matches_oracle_at_random_heights(high_table, lo, length):
+        assert_matches_oracle(lo, lo + length, high_table)
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_omega_block_matches_oracle_at_random_heights():
+        pass
+
+
+@pytest.mark.parametrize("hi, expected", [(2, [0]), (3, [0, 1])])
+def test_omega_block_tiny_blocks_at_one(hi, expected):
+    # isqrt(hi - 1) = 1: no prime is sieved, only the cofactor test runs.
+    assert omega_block(1, hi, primes_up_to(2)).values.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 97, 2**20, 3**12, 999_999_999_989, 10**12, 2**40, 2**40 + 1]
+)
+def test_omega_block_one_element(n):
+    assert_matches_oracle(n, n + 1, primes_up_to(max(2, math.isqrt(n))))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (4900, 4900 + 2048),  # 17^3 = 4913, 17 > 2048 // 128
+        (83000, 83000 + 1024),  # 17^4 = 83521, 17 > 1024 // 128
+        (1_018_081 - 1000, 1_018_081 + 1048),  # 1009^2, and 2 * 1009^2 nearby
+        (1_030_301 - 5, 1_030_301 + 5),  # 101^3 in a block of 10: all sparse
+    ],
+)
+def test_omega_block_sparse_prime_powers(lo, hi):
+    """Powers p^2, p^3, p^4 of a prime with few hits per block land inside
+    the block and must each add one hit."""
+    assert_matches_oracle(lo, hi, primes_up_to(math.isqrt(hi - 1)))
+
+
+def test_omega_block_straddles_2_to_40():
+    lo, hi = 2**40 - 32, 2**40 + 32
+    assert_matches_oracle(lo, hi, primes_up_to(math.isqrt(hi - 1)))
+
+
+@pytest.mark.parametrize("length", [1, 127, 128, 129, 255, 256, 257, 8192])
+def test_omega_block_lengths_around_dense_cut(length):
+    """A prime power is strided when it hits a block at least 128 times,
+    so 2 is strided from length 256 on; 8192 also splits the vectorized
+    pass into several chunks."""
+    lo = 10**6 + 3
+    assert_matches_oracle(lo, lo + length, primes_up_to(math.isqrt(lo + length)))
 
 
 def test_omega_block_validates_arguments():
