@@ -19,6 +19,14 @@ COMMANDS = {
     ],
     "race-all-pairs": ["race", "--m", "3", "--x-max", "3000"],
     "race-one-pair": ["race", "--m", "4", "--j", "1", "--jprime", "3", "--x-max", "3000"],
+    # Long races: x spans hundreds of 1024-wide sub-blocks and, in the last
+    # case, segments whose length is not a multiple of 1024.
+    "race-m2-long": ["race", "--m", "2", "--x-max", "200000"],
+    "race-m6-long": ["race", "--m", "6", "--x-max", "300000"],
+    "race-one-pair-1031": [
+        "race", "--m", "4", "--j", "1", "--jprime", "3", "--x-max", "300000",
+        "--segment-size", "1031",
+    ],
     "selftest": ["selftest", "--x-limit", "2000"],
     "density-workers": [
         "density", "--m", "5", "--x-max", "5000", "--workers", "2", "--segment-size", "1031",
@@ -41,6 +49,12 @@ GOLDEN = {
     ("race-all-pairs", "json"): (0, "577f978e18b698d27a1fdf668a590e6626f1f4faf83463774054a2efe4052854"),
     ("race-one-pair", "csv"): (0, "edfc4d90ad1a7679a0420c40c4d6de7cdf0552a6c2dd52d55112c4c296c266ae"),
     ("race-one-pair", "json"): (0, "9cd7259601ed3e41c7f3f9b3c34ead6b57f9d2f82af9fec7916e94705e0f5d88"),
+    ("race-m2-long", "csv"): (0, "3c74aac3db87e3037f436c24f329bb31232277e7d538f645d0620f004a026f02"),
+    ("race-m2-long", "json"): (0, "6e5b866ded31f2b727e0bf7e4ca49e69a846b668aaaf4260f7e1aee1f807f630"),
+    ("race-m6-long", "csv"): (0, "b2a1b9516f6b9f3f8a5bb2a0653ec642275682fafd273068e1c98cc3dbab0454"),
+    ("race-m6-long", "json"): (0, "2179d561f7ba80481a417b73a8be715604db044975dbda2269bd290430ff87db"),
+    ("race-one-pair-1031", "csv"): (0, "10eb8d45df7fc8e0ad76806bbb3aae75781a322bc32c07a0c048a9d378ec0b60"),
+    ("race-one-pair-1031", "json"): (0, "81ddaf1be088c116d8dc0355bdd1ad33ae7c3ed9a0d8801e22729f98d08ad9e3"),
     ("selftest", "csv"): (0, "9d602479e73934ee184cd609621d76c9ba3a405e2de9491863bbb236d93fcb1c"),
     ("selftest", "json"): (0, "7ff58c46ba91a12d0650a32e49476cf33aca7b01579120e1b7971920ca47b207"),
     ("density-workers", "csv"): (0, "d95b42cacbe2762e47e5bbf8b8c3b579673c8c80c93ad9085d27675f7f864573"),
