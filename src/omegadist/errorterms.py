@@ -24,6 +24,10 @@ DEFAULT_RATIO = 10.0 ** 0.25
 #: Fewest nonzero checkpoints a growth fit will accept.
 MIN_FIT_POINTS = 5
 
+#: Most checkpoints a schedule may hold.  A ratio closer to 1 than this
+#: allows is refused before the loop, which would otherwise run for hours.
+MAX_CHECKPOINTS = 100_000
+
 
 class InsufficientDataError(ValueError):
     """Too few nonzero checkpoints to fit a growth exponent."""
@@ -88,6 +92,12 @@ def checkpoint_schedule(x_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
         raise ValueError(f"ratio must be > 1, got {ratio}")
     if math.isinf(ratio):
         raise ValueError(f"ratio must be finite, got {ratio}")
+    count = math.floor(math.log(x_max / 10) / math.log(ratio)) + 1
+    if count > MAX_CHECKPOINTS:
+        raise ValueError(
+            f"ratio {ratio} gives {count} checkpoints up to {x_max}, "
+            f"more than {MAX_CHECKPOINTS}"
+        )
     positions = {x_max}
     t = 0
     while True:

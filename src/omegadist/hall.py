@@ -57,10 +57,7 @@ def mertens_sum(x: int, table: PrimeTable) -> float:
         raise ValueError(f"x must be >= 2, got {x}")
     if table.limit < x:
         raise ValueError(f"prime table covers {table.limit} but x = {x}")
-    recips = 1.0 / table.primes[table.primes <= x]
-    # cumsum is a strict left-to-right accumulation, so the rounding is the
-    # documented ascending-order one.
-    return float(np.cumsum(recips)[-1])
+    return float(table._reciprocal_sums[np.searchsorted(table.primes, x, "right") - 1])
 
 
 def hall_rhs(m: int, k: int, x: int, table: PrimeTable) -> float:

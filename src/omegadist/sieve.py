@@ -24,6 +24,7 @@ Comp. 83, 2014) written in numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -61,6 +62,13 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return len(self.primes)
+
+    @functools.cached_property
+    def _reciprocal_sums(self) -> np.ndarray:
+        """[1/2, 1/2 + 1/3, ...]: the running sum of 1/p in ascending order,
+        read by hall.mertens_sum.  cumsum adds strictly left to right, so
+        each entry is the same float as summing its prefix afresh."""
+        return np.cumsum(1.0 / self.primes)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,23 @@ def test_infinite_ratio_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "omegadist: ratio must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("command", ["density", "error-growth", "hall"])
+def test_ratio_near_one_exits_2_promptly(command):
+    # A schedule loop of ~2.3e9 steps used to run until killed; a child
+    # process with a timeout turns such a hang into a failure.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [command, "--m", "3", "--x-max", "100", "--ratio", "1.000000001"]
+    done = subprocess.run(
+        [sys.executable, "-m", "omegadist.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("omegadist: ratio 1.000000001 gives ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_race_events_csv(capsys):

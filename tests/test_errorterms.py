@@ -6,6 +6,7 @@ import pytest
 
 from omegadist.errorterms import (
     DEFAULT_RATIO,
+    MAX_CHECKPOINTS,
     CheckpointSeries,
     ErrorCheckpoint,
     InsufficientDataError,
@@ -73,6 +74,16 @@ def test_schedule_validates():
         checkpoint_schedule(1000, ratio=1.0)
     with pytest.raises(ValueError, match="ratio must be finite"):
         checkpoint_schedule(1000, ratio=float("inf"))
+
+
+def test_schedule_refuses_ratio_too_close_to_one():
+    # Twice the checkpoint limit between 10 and 100 (a schedule loop of
+    # 200,000 steps) is refused before looping; half of it is built.
+    with pytest.raises(ValueError, match="ratio 1.0000"):
+        checkpoint_schedule(100, ratio=10 ** (1 / (2 * MAX_CHECKPOINTS)))
+    assert checkpoint_schedule(100, ratio=10 ** (1 / (MAX_CHECKPOINTS // 2))) == list(
+        range(10, 101)
+    )
 
 
 def test_schedule_ratio_near_float_max():

@@ -4,6 +4,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from omegadist.hall import (
@@ -83,6 +84,19 @@ def test_mertens_small_values():
     table = primes_up_to(100)
     assert mertens_sum(2, table) == 0.5
     assert abs(mertens_sum(10, table) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-15
+
+
+def test_mertens_sum_is_the_ascending_prefix_sum():
+    # Read from one cached running sum, each value must be the very float
+    # that summing 1/p over p <= x afresh, left to right, gives: the CLI's
+    # envelope bytes depend on it.  x runs over primes, composites and the
+    # table limit.
+    table = primes_up_to(200_000)
+    xs = [2, 3, 4, 10, 97, 100, 1000, 4093, 65_536, 199_999, 200_000]
+    xs += np.random.default_rng(6).integers(2, 200_001, 200).tolist()
+    for x in xs:
+        fresh = np.cumsum(1.0 / table.primes[table.primes <= x])[-1]
+        assert mertens_sum(x, table) == fresh
 
 
 def test_mertens_asymptotics():

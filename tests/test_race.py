@@ -1,19 +1,23 @@
 """Race-scan tests: hand-traced small examples, a per-n brute-force reference,
-consistency with the exact tallies, event alternation, and the pair
+a one-cumsum reference, synthetic walks at the edge of the sub-block skip
+test, consistency with the exact tallies, event alternation, and the pair
 enumeration."""
 
 import itertools
 
+import numpy as np
 import pytest
 
+from omegadist import race
 from omegadist.race import (
     NEGATIVE_TO_POSITIVE,
     POSITIVE_TO_NEGATIVE,
+    SUB_BLOCK,
     all_pairs,
     race_scan,
 )
 from omegadist.residues import tally_range
-from omegadist.sieve import iter_segments, omega_single
+from omegadist.sieve import OmegaSegment, iter_segments, omega_single
 
 
 def test_hand_traced_m2():
@@ -134,6 +138,13 @@ def test_custom_omega_source():
     assert a.final_delta == b.final_delta and len(a.events) == len(b.events)
 
 
+def test_empty_segment_in_source_is_harmless():
+    segments = list(iter_segments(3000, segment_size=1024))
+    empty = OmegaSegment(1025, 1025, segments[1].values[:0])
+    a = race_scan(3, 0, 2, 3000, omega_source=[segments[0], empty, *segments[1:]])
+    assert a == race_scan(3, 0, 2, 3000)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         race_scan(3, 1, 1, 100)
@@ -143,3 +154,131 @@ def test_validation_errors():
         race_scan(1, 0, 0, 100)
     with pytest.raises(ValueError):
         race_scan(3, 0, 1, 0)
+
+
+def _cumsum_reference(omegas, m, j, jprime):
+    """Delta at every n from one cumsum over the whole range: the scan as it
+    was before sub-blocks were skipped.  Same result shape as
+    _reference_race."""
+    residues = np.asarray(omegas, dtype=np.int64) % m
+    path = np.cumsum((residues == j).astype(np.int64) - (residues == jprime))
+    nonzero = np.flatnonzero(path)
+    signs = np.sign(path[nonzero])
+    events = [
+        (int(nonzero[i]) + 1, NEGATIVE_TO_POSITIVE if signs[i] > 0 else POSITIVE_TO_NEGATIVE)
+        for i in np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    ]
+    leads = tuple(int(np.count_nonzero(test)) for test in (path > 0, path < 0, path == 0))
+    return events, leads, int(path[-1])
+
+
+def _segments(omegas, segment_size):
+    """A custom omega source cutting the given values, for n = 1, 2, ...,
+    into segments of segment_size."""
+    values = np.asarray(omegas, dtype=np.uint8)
+    return [
+        OmegaSegment(lo + 1, lo + 1 + len(values[lo : lo + segment_size]),
+                     values[lo : lo + segment_size])
+        for lo in range(0, len(values), segment_size)
+    ]
+
+
+def _assert_matches(summaries, omegas, m, reference):
+    for summary in summaries:
+        events, leads, delta = reference(omegas, m, summary.j, summary.jprime)
+        assert [(e.x, e.direction) for e in summary.events] == events
+        assert (summary.lead_pos, summary.lead_neg, summary.lead_tie) == leads
+        assert summary.final_delta == delta
+
+
+def _walk(*runs):
+    """Omega values made of runs (omega, count), in order."""
+    return np.concatenate([np.full(count, omega, dtype=np.uint8) for omega, count in runs])
+
+
+# m = 3, pair (0, 1): class 2 leaves Delta alone.  D = 300.
+_EDGE_WALKS = {
+    # Sub-block 1 starts at Delta = 300 and holds exactly 300 of class 1,
+    # so |Delta_start| == c_j + c_j' and it must be scanned per n: Delta
+    # touches 0 on its last integer, n = 2L.  Sub-block 2 starts at 0, dips
+    # to -1 on its first integer (an event at 2L + 1), and sub-block 3
+    # climbs back through 0 to +1.
+    "equal-touches-zero-at-edge": _walk(
+        (0, 300), (2, SUB_BLOCK - 300),
+        (2, SUB_BLOCK - 300), (1, 300),
+        (1, 1), (2, SUB_BLOCK - 1),
+        (0, 2), (2, SUB_BLOCK - 2),
+    ),
+    # One above the edge: sub-block 1 is skipped and ends at Delta = 1, the
+    # next sub-block falls through 0 to -1 right at its start.
+    "one-above-edge": _walk(
+        (0, 301), (2, SUB_BLOCK - 301),
+        (2, SUB_BLOCK - 300), (1, 300),
+        (1, 2), (2, SUB_BLOCK - 2),
+        (0, 5), (2, SUB_BLOCK - 5),
+    ),
+    # Equal counts that leave Delta strictly positive: 299 of class 1 and
+    # one of class 0 first, so Delta bottoms out at 2 and then grows.
+    "equal-stays-positive": _walk(
+        (0, 300), (2, SUB_BLOCK - 300),
+        (0, 1), (1, 299), (2, SUB_BLOCK - 300),
+        (0, SUB_BLOCK // 2), (1, SUB_BLOCK // 2),
+    ),
+    # Negative side of the edge: Delta reaches -300 and comes back to 0
+    # exactly at the end of sub-block 1.
+    "equal-negative": _walk(
+        (1, 300), (2, SUB_BLOCK - 300),
+        (2, SUB_BLOCK - 300), (0, 300),
+        (0, 1), (2, SUB_BLOCK - 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("segment_size", [SUB_BLOCK, 4 * SUB_BLOCK, 977, 1031])
+@pytest.mark.parametrize("name", list(_EDGE_WALKS))
+def test_skip_test_edges_match_reference(name, segment_size):
+    omegas = _EDGE_WALKS[name]
+    summaries = all_pairs(3, len(omegas), omega_source=_segments(omegas, segment_size))
+    _assert_matches(summaries, omegas.tolist(), 3, _reference_race)
+
+
+def test_edge_walk_records_the_zero_on_the_sub_block_edge():
+    # The walk is built so that the scan must see Delta = 0 at n = 2L and
+    # the sign change at n = 2L + 1; pin both, not only the agreement.
+    omegas = _EDGE_WALKS["equal-touches-zero-at-edge"]
+    summary = race_scan(3, 0, 1, len(omegas), omega_source=_segments(omegas, SUB_BLOCK))
+    assert [(e.x, e.direction) for e in summary.events] == [
+        (2 * SUB_BLOCK + 1, POSITIVE_TO_NEGATIVE),
+        (3 * SUB_BLOCK + 2, NEGATIVE_TO_POSITIVE),
+    ]
+    assert summary.lead_tie == 2
+
+
+@pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5])
+@pytest.mark.parametrize("m", [3, 4])
+def test_odd_segment_sizes_match_reference(m, segment_size):
+    x_max = 100_000  # most sub-blocks are skipped here
+    omegas = np.concatenate([s.values for s in iter_segments(x_max)])
+    summaries = all_pairs(m, x_max, segment_size=segment_size)
+    _assert_matches(summaries, omegas, m, _cumsum_reference)
+
+
+def test_liouville_race_matches_cumsum_reference():
+    x_max = 10**6
+    omegas = np.concatenate([s.values for s in iter_segments(x_max)])
+    _assert_matches(all_pairs(2, x_max), omegas, 2, _cumsum_reference)
+
+
+def test_most_sub_blocks_skip_the_per_n_scan(monkeypatch):
+    # At m = 3 and x = 10^6, |Delta| is far above a sub-block's counts for
+    # two of the three pairs; only a few percent of n reach the per-n scan.
+    fed = []
+    feed = race._PairScanner.feed
+
+    def counting_feed(self, residues, lo):
+        fed.append(len(residues))
+        feed(self, residues, lo)
+
+    monkeypatch.setattr(race._PairScanner, "feed", counting_feed)
+    all_pairs(3, 10**6)
+    assert sum(fed) < 0.2 * 3 * 10**6
