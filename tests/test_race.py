@@ -177,8 +177,7 @@ def _segments(omegas, segment_size):
     into segments of segment_size."""
     values = np.asarray(omegas, dtype=np.uint8)
     return [
-        OmegaSegment(lo + 1, lo + 1 + len(values[lo : lo + segment_size]),
-                     values[lo : lo + segment_size])
+        OmegaSegment(lo + 1, min(lo + segment_size, len(values)) + 1, values[lo : lo + segment_size])
         for lo in range(0, len(values), segment_size)
     ]
 
