@@ -47,7 +47,14 @@ from .residues import (
     sums_from_counts,
     tally_segment,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, omega_block, omega_single, primes_up_to
+from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
+    OmegaSegment,
+    _omega_trial_division,
+    omega_block,
+    omega_single,
+    primes_up_to,
+)
 
 
 def _fmt_real(value: float) -> str:
@@ -399,9 +406,10 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
     segment = OmegaSegment(lo=1, hi=n_small + 1, values=values)
 
     def oracle_small():
-        for i in range(n_small):
-            if omega_single(i + 1) != int(segment.values[i]):
-                return False, f"mismatch at n = {i + 1}"
+        expected = _omega_trial_division(np.arange(1, n_small + 1))
+        mismatches = np.flatnonzero(expected != segment.values)
+        if len(mismatches):
+            return False, f"mismatch at n = {mismatches[0] + 1}"
         return True, f"all n <= {n_small} match trial division"
 
     def oracle_large():

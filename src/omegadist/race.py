@@ -11,14 +11,17 @@ SUB_BLOCK integers (the last one shorter when the segment length is not a
 multiple), and one bincount gives the count of every class in every
 sub-block, for all pairs at once.  For one pair, let D be Delta just before
 a sub-block and c, c' the counts of j and j' in it.  Inside the sub-block
-Delta stays within [D - c', D + c], so where |D| > c + c' it never reaches
-zero: every n in the sub-block has the sign of D, there is no event and no
-tie, and the last strict sign stays sign(D), which Delta already had just
-before the sub-block.  Such a sub-block only adds its length to one lead.
-The test is exact, not a heuristic; the other sub-blocks, in contiguous
-runs, go through the per-n scan.  Once |Delta| outgrows a sub-block, which
-happens early for m > 2, almost every sub-block is skipped and the cost per
-pair falls from O(x) to O(x / SUB_BLOCK).
+Delta stays within [D - c', D + c], so where D > c' or D < -c it never
+reaches zero: every n in the sub-block has the sign of D, there is no event
+and no tie, and the last strict sign stays sign(D), which Delta already had
+just before the sub-block.  Such a sub-block only adds its length to one
+lead.  The test is exact, not a heuristic; the other sub-blocks, in
+contiguous runs, go through the per-n scan.  Once |Delta| outgrows a
+sub-block, which happens early for m > 2, almost every sub-block is skipped
+and the cost per pair falls from O(x) to O(x / SUB_BLOCK).  Each side of
+the test needs only one class count, which matters at m = 2: there c + c'
+is the whole sub-block, while |Delta| stays near a sub-block's length
+below 10^7.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class _PairScanner:
         cj, cjp = counts[:, self.j], counts[:, self.jprime]
         ends = self.delta + np.cumsum(cj - cjp)
         starts = ends - (cj - cjp)
-        skip = np.abs(starts) > cj + cjp
+        skip = (starts > cjp) | (starts < -cj)
         self.lead_pos += int(lengths[skip & (starts > 0)].sum())
         self.lead_neg += int(lengths[skip & (starts < 0)].sum())
         # Maximal runs [a, b) of sub-blocks that need the per-n scan.

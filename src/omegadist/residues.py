@@ -70,15 +70,29 @@ def residue_lut(m: int) -> np.ndarray:
 
 
 def fold_counts(values: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
-    """Add the residue-class counts of a slice of Omega values into each
-    array of class_counts, in place, modulo that array's length.
+    """Add the residue-class counts of a slice of uint8 Omega values into
+    each array of class_counts, in place, modulo that array's length.
 
     One 64-bin histogram of the slice serves every modulus, so the cost per
-    extra modulus is ~64 adds, not another pass over the values.
+    extra modulus is ~64 adds, not another pass over the values.  The
+    histogram reads the values in pairs: each uint16 holds two values below
+    64, so a 2^14-bin bincount over half as many elements counts both, and
+    summing the (64, 256) table along each axis gives the count of each
+    byte whatever the byte order.
     """
-    hist = np.bincount(values, minlength=64).astype(np.int64)
+    if values.dtype != np.uint8:
+        raise TypeError(f"need uint8 Omega values, got {values.dtype}")
+    even = len(values) - len(values) % 2
+    pair_counts = np.bincount(values[:even].view(np.uint16), minlength=1 << 14)
+    table = pair_counts[: 1 << 14].reshape(64, 256)
+    hist = table.sum(axis=0)
+    hist[:64] += table.sum(axis=1)
+    if even < len(values):
+        hist[values[-1]] += 1
+    if len(pair_counts) > 1 << 14 or hist[64:].any():
+        raise ValueError("Omega values must be below 64")
     for counts in class_counts:
-        np.add.at(counts, residue_lut(len(counts)), hist)
+        np.add.at(counts, residue_lut(len(counts)), hist[:64])
 
 
 @dataclass

@@ -4,22 +4,29 @@ multiplicity.
 The block sieve never factors an integer one at a time, and it never
 divides.  For a block [lo, hi) with root r = isqrt(hi - 1), every prime
 power q = p^e < hi with p <= r gives each of its multiples in the block one
-hit and the fixed-point weight round(512 * log2 p).  Each n keeps two
-uint16 counters, the hits and the weight sum, packed in one uint32 word so
-that one add updates both.  Afterwards n = m * c, where m is the part of n
-made of primes <= r and c is 1 or a single prime above r.  The hits give
-Omega(m).  The weight sum is 512 * log2 m up to a rounding error below 32
-units, while a prime cofactor adds at least 512 (one bit), so comparing the
-sum with 512 * log2 n shows exactly where c > 1; that n gets the final hit.
+hit and the fixed-point weight round(512 * log2 p).  Each n keeps one
+uint32 word holding the hits in its low 16 bits and the weight sum in its
+high 16 bits, so that one add of the increment 1 + (w << 16) updates both;
+the hits are word & 0xFFFF and the sum word >> 16 on any byte order.
+Afterwards n = m * c, where m is the part of n made of primes <= r (and of
+the pattern primes below) and c is 1 or a single prime above r.  The hits
+give Omega(m).  The weight sum is 512 * log2 m up to a rounding error below
+32 units, while a prime cofactor adds at least 512 (one bit), so comparing
+the sum with 512 * log2 n shows exactly where c > 1; that n gets the final
+hit.
 The comparison uses one threshold per sub-range [a, a * sqrt 2), so no
 logarithm is taken per element.  The result is exact for every n below
 2**64; `omega_block` gives the bound.
 
-Prime powers that hit a block many times are marked with one strided slice
+The prime powers dividing 120120 = 2^3 * 3 * 5 * 7 * 11 * 13, which would
+each make a full strided pass over the 4 MB of words of a 2^20 block, are
+sieved once into a periodic pattern; every block starts as a copy of that
+pattern from lo mod 120120, the pre-sieve step of segmented sieves such as
+Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  Other prime
+powers that hit a block many times are marked with one strided slice
 each.  The many large primes of a high block hit it only a few times each;
 their hit indices are expanded and folded with np.add.at in one vectorized
-pass, the bucket-sieve idea (Oliveira e Silva, Herzog and Pardi, Math.
-Comp. 83, 2014) written in numpy.
+pass, the bucket-sieve idea of the same paper written in numpy.
 """
 
 from __future__ import annotations
@@ -47,6 +54,13 @@ _LOG_SCALE = 512
 # strided slice; rarer ones go through the vectorized pass, whose per-hit
 # cost beats the per-slice overhead below this count.
 _DENSE_HITS = 128
+
+# Every block starts from a periodic pattern that already holds the
+# increments of the prime powers dividing the period 2^3 * 3 * 5 * 7 * 11 *
+# 13 (2, 4, 8, 3, 5, 7, 11 and 13), the ones that cost a block the most
+# passes.  The pattern is 120120 uint32 words, 480 KB.
+_PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
+_PATTERN_PERIOD = 120120
 
 # The vectorized pass expands about block_length / _CHUNK_DIVISOR hits at a
 # time, so its index temporaries stay a small fraction of the block.
@@ -150,6 +164,32 @@ def omega_single(n: int) -> int:
     return count
 
 
+def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
+    """Omega(n) for every n of an int64 array, by the trial division of
+    omega_single done for all n at once: the divisors 2, 3 and 6k +- 1,
+    each tried on the n whose unfactored rest r still has d * d <= r.
+
+    Independent of the sieve, like omega_single; the selftest's oracle for
+    long runs of n.
+    """
+    rest = np.array(ns, dtype=np.int64)
+    if rest.size and rest.min() < 1:
+        raise ValueError("n must be positive integers")
+    count = np.zeros(len(rest), dtype=np.int64)
+    live = np.arange(len(rest))
+    pairs = itertools.chain.from_iterable((d, d + 2) for d in itertools.count(5, 6))
+    for d in itertools.chain((2, 3), pairs):
+        live = live[rest[live] >= d * d]
+        if not len(live):
+            break
+        hit = live[rest[live] % d == 0]
+        while len(hit):
+            rest[hit] //= d
+            count[hit] += 1
+            hit = hit[rest[hit] % d == 0]
+    return count + (rest > 1)
+
+
 def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     """Compute Omega(n) exactly for every n in [lo, hi).
 
@@ -169,6 +209,14 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     Omega(m) hits and a weight sum W with |W - 512 * log2 m| <= Omega(m)/2
     < 32 units, because Omega(m) <= log2 n < 64.
 
+    The powers 2, 4, 8, 3, 5, 7, 11 and 13 of the small-prime pattern add
+    their hit and weight whether or not their prime is <= r.  A pattern
+    prime p > r has p^2 > hi - 1, so only p itself divides n, and it is
+    then the one prime factor of n above r: m takes p in as well, c = 1,
+    and the bound on W holds as before.  Every other power q = p^e < hi
+    with p <= r is sieved as above, so each prime power dividing n adds
+    exactly once.
+
     The cofactor is not stored.  On a sub-range [a, b) with b <= a * sqrt 2,
     n gets the final hit where W < 512 * log2 a - 128.  This is exact: c = 1
     gives W > 512 * log2 n - 32 >= 512 * log2 a - 32, while c > r >= 1
@@ -176,8 +224,11 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     < 512 * log2 a - 224.  Each side keeps a margin of 95 units or more
     after the threshold is rounded up to an integer; its float64 error is
     below 1e-9 units.  Below 2**64 the hit count stays under 64 and W under
-    32800, so both fit their 16-bit counters and a packed add never
-    carries from one into the other.
+    32800, so both fit their 16-bit halves: an add never carries from one
+    into the other, the low byte of a word is the hit count, and
+    word < threshold << 16 is the test W < threshold.  The words are read
+    by arithmetic, not through a narrower view, so there is no byte-order
+    caveat.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
@@ -190,14 +241,10 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
         )
     n = hi - lo
     primes = table.primes[: np.searchsorted(table.primes, root, side="right")]
-    # Allocated before the temporary counters, so that freeing those leaves
-    # no hole below the result and the process keeps less memory resident.
+    # Allocated before the counter words, so that freeing those leaves no
+    # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
-    # Column 0 counts hits, column 1 sums log weights.  One uint32 add of a
-    # packed increment updates both; neither column overflows, so no carry
-    # crosses between them whatever the byte order.
-    pairs = np.zeros((n, 2), dtype=np.uint16)
-    words = pairs.view(np.uint32).reshape(n)
+    words = _tile_pattern(lo, n)
     for q, start, inc in _prime_powers(lo, hi, primes):
         dense = int(np.searchsorted(q, n // _DENSE_HITS, side="right"))
         for step, first, add in zip(
@@ -205,39 +252,82 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
         ):
             words[first::step] += add
         _fold_sparse(words, q[dense:], start[dense:], inc[dense:])
-    values[:] = pairs[:, 0]
-    logs = pairs[:, 1]
+    # The low byte of a word is its hit count, which stays below 64.
+    np.copyto(values, words, casting="unsafe")
     a = lo
     while a < hi:
         b = min(hi, max(a + 1, math.isqrt(2 * a * a)))
         threshold = math.ceil(_LOG_SCALE * math.log2(a)) - _LOG_SCALE // 4
-        values[a - lo : b - lo] += logs[a - lo : b - lo] < threshold
+        # The hit count is below 2**16, so this compares the log sums.
+        values[a - lo : b - lo] += words[a - lo : b - lo] < threshold << 16
         a = b
     return OmegaSegment(lo=lo, hi=hi, values=values)
+
+
+def _increments(primes: np.ndarray) -> np.ndarray:
+    """The packed increment 1 + (w_p << 16), w_p = round(512 * log2 p), of
+    each prime, as uint32."""
+    weights = np.rint(_LOG_SCALE * np.log2(primes)).astype(np.uint32)
+    return (weights << 16) + np.uint32(1)
+
+
+@functools.cache
+def _small_prime_pattern() -> np.ndarray:
+    """pattern[i] is the sum of the increments of the prime powers q that
+    divide _PATTERN_PERIOD and i: the words of every n = i (mod the
+    period) after those powers are sieved.  Read-only, shared by all
+    blocks of the process."""
+    pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint32)
+    for p, inc in zip(_PATTERN_PRIMES, _increments(np.array(_PATTERN_PRIMES)).tolist()):
+        q = p
+        while _PATTERN_PERIOD % q == 0:
+            pattern[::q] += inc
+            q *= p
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _tile_pattern(lo: int, n: int) -> np.ndarray:
+    """The counter words of [lo, lo + n) with the pattern's prime powers
+    already sieved: the pattern tiled from lo mod its period."""
+    pattern = _small_prime_pattern()
+    words = np.empty(n, dtype=np.uint32)
+    offset = lo % _PATTERN_PERIOD
+    filled = min(n, _PATTERN_PERIOD - offset)
+    words[:filled] = pattern[offset : offset + filled]
+    while filled < n:
+        size = min(n - filled, _PATTERN_PERIOD)
+        words[filled : filled + size] = pattern[:size]
+        filled += size
+    return words
 
 
 def _prime_powers(
     lo: int, hi: int, primes: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """For e = 1, 2, ..., yield the powers q = p^e < hi of the given primes
-    that have a multiple in [lo, hi): q ascending (uint64), the offset of
-    its first multiple (int64) and the packed increment (1, w_p) (uint32)."""
-    pair = np.empty((len(primes), 2), dtype=np.uint16)
-    pair[:, 0] = 1
-    pair[:, 1] = np.rint(_LOG_SCALE * np.log2(primes))
-    inc = pair.view(np.uint32).reshape(len(primes))
+    that have a multiple in [lo, hi), less those in the small-prime
+    pattern: q ascending (uint64), the offset of its first multiple (int64)
+    and the packed increment (uint32)."""
+    inc = _increments(primes)
     base = power = primes.astype(np.uint64)
     while len(power):
-        start = np.uint64(lo) % power
-        np.subtract(power, start, out=start)
-        start %= power
+        # The pattern's powers of this level are its smallest entries: the
+        # primes up to 13 at e = 1, then 4 and 8.  Slicing them off keeps
+        # the arrays views.
+        skip = int(np.count_nonzero(_PATTERN_PERIOD % power[:6] == 0))
+        q, q_inc = power[skip:], inc[skip:]
+        # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
+        start = np.uint64(lo - 1) % q
+        np.subtract(q, start, out=start)
+        start -= np.uint64(1)
         # Offsets below the block length fit int64 unchanged.  Powers up
         # to the block length all hit; they are passed on without a copy.
         hit = start < hi - lo
         if hit.all():
-            yield power, start.view(np.int64), inc
+            yield q, start.view(np.int64), q_inc
         else:
-            yield power[hit], start[hit].view(np.int64), inc[hit]
+            yield q[hit], start[hit].view(np.int64), q_inc[hit]
         # The primes with p^(e+1) < hi are a prefix, and power * base
         # <= hi - 1 < 2**64 cannot wrap.
         keep = int(np.count_nonzero(power <= np.uint64(hi - 1) // base))

@@ -1,5 +1,5 @@
 """Race-scan tests: hand-traced small examples, a per-n brute-force reference,
-a one-cumsum reference, synthetic walks at the edge of the sub-block skip
+a one-cumsum reference, synthetic walks at the edges of the sub-block skip
 test, consistency with the exact tallies, event alternation, and the pair
 enumeration."""
 
@@ -253,6 +253,77 @@ def test_edge_walk_records_the_zero_on_the_sub_block_edge():
     assert summary.lead_tie == 2
 
 
+# The one-sided test skips where Delta_start > c_j' or Delta_start < -c_j.
+# At m = 2 every n is in class 0 or 1, so c_j + c_j' is the whole
+# sub-block and only these edges matter.  L = SUB_BLOCK.
+_ONE_SIDED_WALKS = {
+    # m = 2: Delta_start = L = c_j' in sub-block 1, which holds only class
+    # 1, so Delta touches 0 on its last integer, n = 2L; then it dips to -1.
+    (2, "touches-zero-at-edge"): _walk(
+        (0, SUB_BLOCK), (1, SUB_BLOCK), (1, 1), (0, SUB_BLOCK - 1), (1, SUB_BLOCK),
+    ),
+    # m = 2: Delta_start = L = c_j' + 1 in sub-block 1, so it is skipped
+    # and Delta bottoms out at 1; sub-block 2 falls through 0 to -1.
+    (2, "one-above-edge"): _walk(
+        (0, SUB_BLOCK), (1, SUB_BLOCK - 1), (0, 1), (1, 3), (0, SUB_BLOCK - 3),
+        (0, SUB_BLOCK),
+    ),
+    # The negative mirror of the two walks above: Delta_start = -c_j, then
+    # Delta_start = -c_j - 1.
+    (2, "negative-touches-zero-at-edge"): _walk(
+        (1, SUB_BLOCK), (0, SUB_BLOCK), (0, 1), (1, SUB_BLOCK - 1), (0, SUB_BLOCK),
+    ),
+    (2, "negative-one-below-edge"): _walk(
+        (1, SUB_BLOCK), (0, SUB_BLOCK - 1), (1, 1), (0, 3), (1, SUB_BLOCK - 3),
+        (1, SUB_BLOCK),
+    ),
+    # m = 3, pair (0, 1), where c_j > 0 inside the edge sub-blocks: Delta
+    # starts sub-block 1 at 300 = c_j', touches 0 in the middle and climbs
+    # to 200; sub-block 2 starts at 200 = c_j' + 1 and is skipped although
+    # |Delta_start| < c_j + c_j'; sub-block 3 crosses 0.
+    (3, "mixed-classes"): _walk(
+        (0, 300), (2, SUB_BLOCK - 300),
+        (1, 300), (0, 200), (2, SUB_BLOCK - 500),
+        (1, 199), (0, 100), (2, SUB_BLOCK - 299),
+        (1, 102), (2, SUB_BLOCK - 102),
+    ),
+}
+
+
+@pytest.mark.parametrize("segment_size", [SUB_BLOCK, 4 * SUB_BLOCK, 977, 1031])
+@pytest.mark.parametrize("m,name", list(_ONE_SIDED_WALKS))
+def test_one_sided_skip_edges_match_reference(m, name, segment_size):
+    omegas = _ONE_SIDED_WALKS[m, name]
+    summaries = [
+        race_scan(m, j, jprime, len(omegas), omega_source=_segments(omegas, segment_size))
+        for j, jprime in itertools.permutations(range(m), 2)
+    ]
+    _assert_matches(summaries, omegas.tolist(), m, _reference_race)
+
+
+def _fed_lengths(monkeypatch):
+    """Patch the per-n scan to record the length of every run it gets."""
+    fed = []
+    feed = race._PairScanner.feed
+
+    def counting_feed(self, residues, lo):
+        fed.append(len(residues))
+        feed(self, residues, lo)
+
+    monkeypatch.setattr(race._PairScanner, "feed", counting_feed)
+    return fed
+
+
+def test_one_above_edge_sub_blocks_skip_the_per_n_scan(monkeypatch):
+    # Sub-blocks 1 (Delta_start = c_j' + 1) and 3 (Delta_start = L - 4,
+    # c_j' = 0) are skipped; a two-sided |Delta_start| > c_j + c_j' scans
+    # both.
+    fed = _fed_lengths(monkeypatch)
+    omegas = _ONE_SIDED_WALKS[2, "one-above-edge"]
+    race_scan(2, 0, 1, len(omegas), omega_source=_segments(omegas, 4 * SUB_BLOCK))
+    assert fed == [SUB_BLOCK, SUB_BLOCK]
+
+
 @pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5])
 @pytest.mark.parametrize("m", [3, 4])
 def test_odd_segment_sizes_match_reference(m, segment_size):
@@ -271,13 +342,15 @@ def test_liouville_race_matches_cumsum_reference():
 def test_most_sub_blocks_skip_the_per_n_scan(monkeypatch):
     # At m = 3 and x = 10^6, |Delta| is far above a sub-block's counts for
     # two of the three pairs; only a few percent of n reach the per-n scan.
-    fed = []
-    feed = race._PairScanner.feed
-
-    def counting_feed(self, residues, lo):
-        fed.append(len(residues))
-        feed(self, residues, lo)
-
-    monkeypatch.setattr(race._PairScanner, "feed", counting_feed)
+    fed = _fed_lengths(monkeypatch)
     all_pairs(3, 10**6)
     assert sum(fed) < 0.2 * 3 * 10**6
+
+
+def test_liouville_race_skips_most_of_the_per_n_scan(monkeypatch):
+    # At m = 2, |Delta| = |L(x)| stays near a sub-block's length up to 10^6;
+    # the one-sided test still skips about 40% of n there (a two-sided
+    # test skips under 3%).
+    fed = _fed_lengths(monkeypatch)
+    all_pairs(2, 10**6)
+    assert sum(fed) < 0.7 * 10**6

@@ -1,5 +1,6 @@
-"""Tally and transform tests: brute-force oracles at small x, exactness of
-the forward/inverse pair, merge algebra, and corruption detection."""
+"""Tally and transform tests: brute-force oracles at small x, the
+histogram fold against a plain bincount, exactness of the forward/inverse
+pair, merge algebra, and corruption detection."""
 
 import math
 import random
@@ -7,11 +8,18 @@ import random
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test is skipped, the rest still runs
+    given = None
+
 from omegadist.residues import (
     CharacterSumSet,
     InconsistentTransformError,
     ResidueTally,
     counts_from_sums,
+    fold_counts,
     inverse_residuals,
     lambda_value,
     merge,
@@ -93,6 +101,57 @@ def test_tally_segment_requires_contiguity():
     tally_segment(tally, omega_block(1, 11, table))
     with pytest.raises(ValueError):
         tally_segment(tally, omega_block(12, 20, table))  # gap at 11
+
+
+def plain_fold(values, m):
+    return np.bincount(np.asarray(values, dtype=np.intp) % m, minlength=m)
+
+
+if given is not None:
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 63), max_size=300),
+        start=st.integers(0, 3),
+        stop=st.integers(0, 3),
+        moduli=st.lists(st.integers(1, 13), min_size=1, max_size=4),
+    )
+    def test_fold_counts_matches_bincount(values, start, stop, moduli):
+        """Odd and even lengths, odd start offsets and empty slices: every
+        modulus gets the plain 64-bin bincount of the slice, folded."""
+        base = np.array(values, dtype=np.uint8)
+        piece = base[start : max(start, len(base) - stop)]
+        counts = [np.full(m, 7, dtype=np.int64) for m in moduli]
+        fold_counts(piece, counts)
+        for m, got in zip(moduli, counts):
+            assert got.tolist() == (7 + plain_fold(piece, m)).tolist()
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_fold_counts_matches_bincount():
+        pass
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 2**20 + 1])
+def test_fold_counts_every_value_up_to_63(length):
+    values = (np.arange(length) * 37 % 64).astype(np.uint8)
+    counts = [np.zeros(64, dtype=np.int64), np.zeros(5, dtype=np.int64)]
+    fold_counts(values, counts)
+    assert counts[0].tolist() == plain_fold(values, 64).tolist()
+    assert counts[1].tolist() == plain_fold(values, 5).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
+def test_fold_counts_refuses_other_dtypes(dtype):
+    with pytest.raises(TypeError, match="uint8"):
+        fold_counts(np.arange(10, dtype=dtype), [np.zeros(3, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("values", [[64], [1, 64], [64, 1], [1, 2, 200]])
+def test_fold_counts_refuses_values_from_64(values):
+    with pytest.raises(ValueError, match="below 64"):
+        fold_counts(np.array(values, dtype=np.uint8), [np.zeros(3, dtype=np.int64)])
 
 
 def test_merge_of_adjacent_ranges():

@@ -24,6 +24,7 @@ from omegadist.sieve import (
     primes_up_to,
     segment_bounds,
 )
+from omegadist.sieve import _omega_trial_division
 
 # Omega(1..16), easy to verify by hand.
 OMEGA_1_TO_16 = [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3, 1, 2, 2, 4]
@@ -182,6 +183,46 @@ def test_omega_block_lengths_around_dense_cut(length):
     assert_matches_oracle(lo, lo + length, primes_up_to(math.isqrt(lo + length)))
 
 
+# Every block starts from a tiled pattern of period 2^3 * 3 * 5 * 7 * 11 * 13.
+PATTERN_PERIOD = 120120
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("residue", [0, 1, PATTERN_PERIOD - 1])
+def test_omega_block_starts_at_each_pattern_phase(k, residue):
+    lo = k * PATTERN_PERIOD + residue
+    assert_matches_oracle(lo, lo + 1000, primes_up_to(math.isqrt(lo + 1000)))
+
+
+def test_omega_block_straddles_a_pattern_period():
+    lo, hi = 5 * PATTERN_PERIOD - 700, 5 * PATTERN_PERIOD + 700
+    assert_matches_oracle(lo, hi, primes_up_to(math.isqrt(hi - 1)))
+
+
+def test_omega_block_pattern_primes_above_the_root():
+    """Below hi = 170 the root is at most 12, so 13 (and 11, below 122) is
+    never sieved as a prime, yet the pattern still adds its hit; the
+    cofactor test must then leave those n alone."""
+    table = primes_up_to(13)
+    expected = [omega_single(n) for n in range(1, 170)]
+    for hi in range(2, 171):
+        for lo in sorted({1, hi // 2, hi - 1}):
+            assert omega_block(lo, hi, table).values.tolist() == expected[lo - 1 : hi - 1]
+
+
+def test_omega_block_full_block_tiles_the_pattern():
+    """A 2^20 block spans about nine pattern periods: check every n within
+    3 of each period boundary in it and 3000 random n."""
+    lo = 1 + 7 * PATTERN_PERIOD
+    hi = lo + (1 << 20)
+    values = omega_block(lo, hi, primes_up_to(math.isqrt(hi - 1))).values
+    edges = range(8 * PATTERN_PERIOD, hi, PATTERN_PERIOD)
+    positions = {n - lo for edge in edges for n in range(edge - 3, edge + 4)}
+    positions.update(random.Random(120120).sample(range(hi - lo), 3000))
+    for i in sorted(positions):
+        assert int(values[i]) == omega_single(lo + i), lo + i
+
+
 def test_omega_block_validates_arguments():
     table = primes_up_to(10)
     with pytest.raises(ValueError):
@@ -249,6 +290,21 @@ def test_consumers_reject_short_source(consumer):
     segments = list(iter_segments(500, segment_size=128))
     with pytest.raises(ValueError, match="ended at 500, need 1000"):
         STREAM_CONSUMERS[consumer](segments)
+
+
+def test_trial_division_oracle_matches_omega_single():
+    """The selftest's vectorised oracle is omega_single done for many n at
+    once: equal on every n <= 10^5 and on 200 n near 10^9."""
+    small = np.arange(1, 10**5 + 1)
+    assert _omega_trial_division(small).tolist() == [omega_single(n) for n in range(1, 10**5 + 1)]
+    rng = np.random.default_rng(1729)
+    high = 10**9 + rng.integers(0, 10**6, size=200)
+    assert _omega_trial_division(high).tolist() == [omega_single(int(n)) for n in high]
+
+
+def test_trial_division_oracle_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        _omega_trial_division(np.array([3, 0, 5]))
 
 
 def test_uint8_headroom():
