@@ -165,7 +165,7 @@ def omega_single(n: int) -> int:
 
 
 def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
-    """Omega(n) for every n of an int64 array, by the trial division of
+    """Omega(n) for every positive n of an array, by the trial division of
     omega_single done for all n at once: the divisors 2, 3 and 6k +- 1,
     each tried on the n whose unfactored rest r still has d * d <= r.
 
@@ -173,8 +173,6 @@ def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
     long runs of n.
     """
     rest = np.array(ns, dtype=np.int64)
-    if rest.size and rest.min() < 1:
-        raise ValueError("n must be positive integers")
     count = np.zeros(len(rest), dtype=np.int64)
     live = np.arange(len(rest))
     pairs = itertools.chain.from_iterable((d, d + 2) for d in itertools.count(5, 6))

@@ -302,11 +302,6 @@ def test_trial_division_oracle_matches_omega_single():
     assert _omega_trial_division(high).tolist() == [omega_single(int(n)) for n in high]
 
 
-def test_trial_division_oracle_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        _omega_trial_division(np.array([3, 0, 5]))
-
-
 def test_uint8_headroom():
     # Largest Omega below 2^20 is 20 (n = 2^20); far below the uint8 ceiling.
     values = omega_block(1, 2**20 + 1, primes_up_to(1024)).values
