@@ -313,7 +313,8 @@ def _prime_powers(
         # The pattern's powers of this level are its smallest entries: the
         # primes up to 13 at e = 1, then 4 and 8.  Slicing them off keeps
         # the arrays views.
-        skip = int(np.count_nonzero(_PATTERN_PERIOD % power[:6] == 0))
+        head = power[: len(_PATTERN_PRIMES)]
+        skip = int(np.count_nonzero(_PATTERN_PERIOD % head == 0))
         q, q_inc = power[skip:], inc[skip:]
         # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
         start = np.uint64(lo - 1) % q

@@ -18,13 +18,13 @@ from omegadist.dirichlet import truncated_L
 from omegadist.race import race_scan
 from omegadist.sieve import (
     OmegaSegment,
+    _omega_trial_division,
     iter_segments,
     omega_block,
     omega_single,
     primes_up_to,
     segment_bounds,
 )
-from omegadist.sieve import _omega_trial_division
 
 # Omega(1..16), easy to verify by hand.
 OMEGA_1_TO_16 = [0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3, 1, 2, 2, 4]
@@ -200,9 +200,10 @@ def test_omega_block_straddles_a_pattern_period():
 
 
 def test_omega_block_pattern_primes_above_the_root():
-    """Below hi = 170 the root is at most 12, so 13 (and 11, below 122) is
-    never sieved as a prime, yet the pattern still adds its hit; the
-    cofactor test must then leave those n alone."""
+    """Up to hi = 169 the root isqrt(hi - 1) is below 13 (below 11 up to
+    hi = 121), so 13 (and 11) is never sieved as a prime, yet the pattern
+    still adds its hit; the cofactor test must then leave those n alone.
+    At hi = 170, 13 reaches the root and is left to the pattern."""
     table = primes_up_to(13)
     expected = [omega_single(n) for n in range(1, 170)]
     for hi in range(2, 171):
