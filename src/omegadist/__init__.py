@@ -11,7 +11,6 @@ satisfy, and scans sign changes in the race between two residue classes.
 
 from .dirichlet import (
     DirichletEvaluation,
-    GFactorEvaluation,
     IdentityReport,
     check_g_product,
     check_identity_product,
@@ -32,7 +31,6 @@ from .errorterms import (
     checkpoint_schedule,
     growth_exponent,
     record_many,
-    record_series,
 )
 from .hall import (
     HallConstants,
@@ -50,12 +48,9 @@ from .residues import (
     RootTable,
     counts_from_sums,
     inverse_residuals,
-    lambda_value,
-    merge,
     new_tally,
     root_table,
     sums_from_counts,
-    tally_range,
     tally_segment,
 )
 from .sieve import (
@@ -77,7 +72,6 @@ __all__ = [
     "DEFAULT_SEGMENT_SIZE",
     "DirichletEvaluation",
     "ErrorCheckpoint",
-    "GFactorEvaluation",
     "GrowthFit",
     "HallConstants",
     "IdentityReport",
@@ -105,8 +99,6 @@ __all__ = [
     "hull_perimeter",
     "inverse_residuals",
     "iter_segments",
-    "lambda_value",
-    "merge",
     "mertens_sum",
     "new_tally",
     "omega_block",
@@ -115,10 +107,8 @@ __all__ = [
     "primes_up_to",
     "race_scan",
     "record_many",
-    "record_series",
     "root_table",
     "sums_from_counts",
-    "tally_range",
     "tally_segment",
     "truncated_L",
     "zeta_ref",

@@ -16,16 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .residues import residue_lut, root_table
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    OmegaSegment,
-    PrimeTable,
-    clip_segments,
-    iter_segments,
-    primes_up_to,
-)
+from .sieve import OmegaSegment, PrimeTable, clip_segments, iter_segments, primes_up_to
 
-#: Default truncation for reference zeta values; tail error ~ 5e-11 at s = 2.
+#: Truncation of the reference zeta values in the identity checks; tail
+#: error ~ 5e-11 at s = 2.
 DEFAULT_ZETA_TERMS = 100_000
 
 
@@ -39,10 +33,6 @@ class DirichletEvaluation:
     method: str  # "truncated-sum", "euler-product" or "g-product"
     cutoff: int  # n_max or p_max
     value: complex
-
-
-#: Former name of the euler_G result type, kept for callers that import it.
-GFactorEvaluation = DirichletEvaluation
 
 
 @dataclass(frozen=True)
@@ -90,8 +80,6 @@ def truncated_L(
     s: complex,
     n_max: int,
     omega_source: Iterable[OmegaSegment] | None = None,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> DirichletEvaluation:
     """Partial sum over n <= n_max of zeta_m^(k*Omega(n)) / n^s.
 
@@ -108,9 +96,7 @@ def truncated_L(
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     weights = root_table(m).powers[(residue_lut(m) * k) % m]
     total = 0j
-    source = omega_source if omega_source is not None else iter_segments(
-        n_max, segment_size=segment_size
-    )
+    source = omega_source if omega_source is not None else iter_segments(n_max)
     for lo, values in clip_segments(source, n_max):
         n = np.arange(lo, lo + len(values), dtype=np.float64)
         total += complex(np.sum(weights[values] * n ** (-s)))
@@ -191,31 +177,27 @@ def euler_G(
     )
 
 
-def check_lquo(
-    s: complex,
-    n_max: int,
-    zeta_terms: int = DEFAULT_ZETA_TERMS,
-) -> IdentityReport:
+def check_lquo(s: complex, n_max: int) -> IdentityReport:
     """Check sum_{n<=n_max} lambda(n)/n^s against zeta(2s)/zeta(s).
 
     lambda is the m = 2, k = 1 twist: (-1)^Omega(n).
     """
     s = complex(s)
     lhs = truncated_L(2, 1, s, n_max).value
-    rhs = zeta_ref(2.0 * s, zeta_terms) / zeta_ref(s, zeta_terms)
+    rhs = zeta_ref(2.0 * s, DEFAULT_ZETA_TERMS) / zeta_ref(s, DEFAULT_ZETA_TERMS)
     return IdentityReport(check="lambda-quotient", lhs=lhs, rhs=rhs)
 
 
 def _product_check(
     check: str, evaluate, ks: range, m: int, s: complex, p_max: int,
-    table: PrimeTable | None, zeta_terms: int,
+    table: PrimeTable | None,
 ) -> IdentityReport:
     """Multiply evaluate(m, k, s, p_max, table) over k in ks and compare the
     product with zeta(m*s)."""
     lhs = 1.0 + 0j
     for k in ks:
         lhs *= evaluate(m, k, s, p_max, table).value
-    return IdentityReport(check=check, lhs=lhs, rhs=zeta_ref(m * s, zeta_terms))
+    return IdentityReport(check=check, lhs=lhs, rhs=zeta_ref(m * s, DEFAULT_ZETA_TERMS))
 
 
 def check_identity_product(
@@ -223,7 +205,6 @@ def check_identity_product(
     s: complex,
     p_max: int,
     table: PrimeTable | None = None,
-    zeta_terms: int = DEFAULT_ZETA_TERMS,
 ) -> IdentityReport:
     """Check prod_{k=0}^{m-1} L_{m,k}(s) against zeta(m*s).
 
@@ -232,9 +213,7 @@ def check_identity_product(
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    return _product_check(
-        "full-product", euler_L, range(m), m, s, p_max, table, zeta_terms
-    )
+    return _product_check("full-product", euler_L, range(m), m, s, p_max, table)
 
 
 def check_g_product(
@@ -242,7 +221,6 @@ def check_g_product(
     s: float,
     p_max: int,
     table: PrimeTable | None = None,
-    zeta_terms: int = DEFAULT_ZETA_TERMS,
 ) -> IdentityReport:
     """Check prod_{k=1}^{m-1} G_{m,k}(s) against zeta(m*s).
 
@@ -252,6 +230,4 @@ def check_g_product(
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}: the product is over 0 < k < m")
-    return _product_check(
-        "g-product", euler_G, range(1, m), m, s, p_max, table, zeta_terms
-    )
+    return _product_check("g-product", euler_G, range(1, m), m, s, p_max, table)

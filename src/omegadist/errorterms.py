@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .residues import ResidueTally, fold_counts, root_table
-from .sieve import DEFAULT_SEGMENT_SIZE, PrimeTable, iter_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments
 
 #: Four checkpoints per decade.
 DEFAULT_RATIO = 10.0 ** 0.25
@@ -116,7 +116,6 @@ def record_many(
     x_max: int,
     ratio: float = DEFAULT_RATIO,
     *,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> dict[int, CheckpointSeries]:
@@ -136,9 +135,7 @@ def record_many(
     series = {m: CheckpointSeries(m=m) for m in moduli}
 
     next_cp = 0
-    for segment in iter_segments(
-        x_max, table=table, segment_size=segment_size, workers=workers
-    ):
+    for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
         start = 0
         while next_cp < len(schedule) and schedule[next_cp] < segment.hi:
             x = schedule[next_cp]
@@ -150,21 +147,6 @@ def record_many(
             next_cp += 1
         fold_counts(segment.values[start:], counts.values())
     return series
-
-
-def record_series(
-    m: int,
-    x_max: int,
-    ratio: float = DEFAULT_RATIO,
-    *,
-    table: PrimeTable | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> CheckpointSeries:
-    """Checkpoint series for a single modulus; see record_many."""
-    return record_many(
-        [m], x_max, ratio, table=table, segment_size=segment_size, workers=workers
-    )[m]
 
 
 def _fit_loglog(

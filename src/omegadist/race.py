@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .residues import residue_lut
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, PrimeTable, clip_segments, iter_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, clip_segments, iter_segments
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -142,7 +142,6 @@ def _scan(
     pairs: list[tuple[int, int]],
     x_max: int,
     *,
-    table: PrimeTable | None,
     segment_size: int,
     workers: int,
     omega_source: Iterable[OmegaSegment] | None,
@@ -159,7 +158,7 @@ def _scan(
     scanners = [_PairScanner(m, j, jprime) for j, jprime in pairs]
     lut = residue_lut(m).astype(np.uint8)
     source = omega_source if omega_source is not None else iter_segments(
-        x_max, table=table, segment_size=segment_size, workers=workers
+        x_max, segment_size=segment_size, workers=workers
     )
     offsets = np.empty(0, dtype=np.intp)
     for lo, values in clip_segments(source, x_max):
@@ -186,7 +185,6 @@ def race_scan(
     jprime: int,
     x_max: int,
     *,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
     omega_source: Iterable[OmegaSegment] | None = None,
@@ -196,7 +194,6 @@ def race_scan(
         m,
         [(j, jprime)],
         x_max,
-        table=table,
         segment_size=segment_size,
         workers=workers,
         omega_source=omega_source,
@@ -207,7 +204,6 @@ def all_pairs(
     m: int,
     x_max: int,
     *,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
     omega_source: Iterable[OmegaSegment] | None = None,
@@ -218,7 +214,6 @@ def all_pairs(
         m,
         pairs,
         x_max,
-        table=table,
         segment_size=segment_size,
         workers=workers,
         omega_source=omega_source,

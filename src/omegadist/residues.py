@@ -15,7 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, PrimeTable, iter_segments
+# iter_segments is not called here, but perfbench/spans.py patches
+# residues.iter_segments when it traces a run, so the name stays bound.
+from .sieve import OmegaSegment, iter_segments  # noqa: F401
 
 #: Inverse-transform results farther than this from integers (or from the
 #: real axis) indicate corrupted input and raise InconsistentTransformError.
@@ -53,17 +55,6 @@ def root_table(m: int) -> RootTable:
     return RootTable(m=m, powers=powers)
 
 
-def lambda_value(omega: int, m: int, k: int) -> complex:
-    """zeta_m^(k*omega), the completely multiplicative unit-root twist
-    evaluated from a known Omega value."""
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    powers = root_table(m).powers
-    if not 0 <= k < m:
-        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    return complex(powers[(k * omega) % m])
-
-
 def residue_lut(m: int) -> np.ndarray:
     """lut[w] = w mod m for every 8-bit Omega value w (Omega(n) < 64)."""
     return np.arange(64, dtype=np.intp) % m
@@ -99,9 +90,10 @@ def fold_counts(values: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
 class ResidueTally:
     """counts[j] = #{n in [lo, x] : Omega(n) = j (mod m)}.
 
-    The normal case is lo = 1, a tally of 1..x.  Tallies with lo > 1 act as
-    deltas over an interior range, so disjoint blocks can be tallied
-    independently and merged; a tally with x < lo is empty.
+    The normal case is lo = 1, a tally of 1..x.  A tally with lo > 1 is a
+    window: it counts an interior range [lo, x] fed segment by segment from
+    lo, as when blocks far from 1 are sieved on their own.  A tally with
+    x < lo is empty.
     """
 
     m: int
@@ -132,44 +124,6 @@ def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
         )
     fold_counts(segment.values, [tally.counts])
     tally.x = segment.hi - 1
-    return tally
-
-
-def merge(a: ResidueTally, b_delta: ResidueTally) -> ResidueTally:
-    """Combine tallies of adjacent ranges into one.
-
-    b_delta must tally the range immediately following a's; an empty tally
-    merges as the identity from either side.  Counts simply add.
-    """
-    if a.m != b_delta.m:
-        raise ValueError(f"modulus mismatch: {a.m} != {b_delta.m}")
-    if b_delta.x < b_delta.lo:  # empty delta
-        return ResidueTally(m=a.m, x=a.x, counts=a.counts.copy(), lo=a.lo)
-    if a.x < a.lo:  # empty accumulator adopts the delta
-        return ResidueTally(
-            m=a.m, x=b_delta.x, counts=b_delta.counts.copy(), lo=b_delta.lo
-        )
-    if b_delta.lo != a.x + 1:
-        raise ValueError(
-            f"ranges not adjacent: [{a.lo}, {a.x}] then [{b_delta.lo}, {b_delta.x}]"
-        )
-    return ResidueTally(m=a.m, x=b_delta.x, counts=a.counts + b_delta.counts, lo=a.lo)
-
-
-def tally_range(
-    m: int,
-    x_max: int,
-    *,
-    table: PrimeTable | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> ResidueTally:
-    """Tally 1..x_max in one streaming pass."""
-    tally = new_tally(m)
-    for segment in iter_segments(
-        x_max, table=table, segment_size=segment_size, workers=workers
-    ):
-        tally_segment(tally, segment)
     return tally
 
 

@@ -389,15 +389,14 @@ def segment_bounds(x_max: int, segment_size: int) -> list[tuple[int, int]]:
 def iter_segments(
     x_max: int,
     *,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> Iterator[OmegaSegment]:
     """Stream OmegaSegments covering 1..x_max, in ascending order.
 
-    With workers > 1 the blocks are computed in a process pool but are
-    always yielded in block order, so everything downstream produces output
-    independent of the worker count.
+    With workers > 1 the blocks are computed in a process pool, each worker
+    with its own prime table, but are always yielded in block order, so
+    everything downstream produces output independent of the worker count.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
@@ -406,12 +405,9 @@ def iter_segments(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     limit = max(2, math.isqrt(x_max))
-    if table is None:
-        table = primes_up_to(limit)
-    elif table.limit < limit:
-        raise ValueError(f"prime table covers {table.limit}, need {limit}")
     bounds = segment_bounds(x_max, segment_size)
     if workers == 1:
+        table = primes_up_to(limit)
         for lo, hi in bounds:
             yield omega_block(lo, hi, table)
         return

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import omegadist
 from omegadist import cli, sieve
 from omegadist.cli import build_parser, main, run_selftest
 
@@ -341,6 +342,21 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(block.split("```")[0], {})
+    assert capsys.readouterr().out
+
+
+def test_public_names_resolve():
+    names = omegadist.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(omegadist, name)] == []
 
 
 def test_usage_error_on_tiny_segment_size(capsys):

@@ -15,25 +15,24 @@ from omegadist.errorterms import (
     checkpoint_schedule,
     growth_exponent,
     record_many,
-    record_series,
 )
-from omegadist.residues import ResidueTally, new_tally, tally_range
+from omegadist.residues import ResidueTally, new_tally
 
 
-def test_checkpoint_known_example():
-    cp = checkpoint(tally_range(3, 20))
+def test_checkpoint_known_example(tally_of):
+    cp = checkpoint(tally_of(3, 20))
     assert cp.scaled_residuals.tolist() == [-5, 7, -2]
     assert cp.counts().tolist() == [5, 9, 6]
 
 
-def test_checkpoint_m1_is_identically_zero():
-    cp = checkpoint(tally_range(1, 500))
+def test_checkpoint_m1_is_identically_zero(tally_of):
+    cp = checkpoint(tally_of(1, 500))
     assert cp.scaled_residuals.tolist() == [0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
-def test_scaled_residuals_sum_to_zero(m):
-    cp = checkpoint(tally_range(m, 4096))
+def test_scaled_residuals_sum_to_zero(m, tally_of):
+    cp = checkpoint(tally_of(m, 4096))
     assert int(cp.scaled_residuals.sum()) == 0
 
 
@@ -91,18 +90,18 @@ def test_schedule_ratio_near_float_max():
     assert checkpoint_schedule(100, ratio=1e308) == [10, 100]
 
 
-def test_record_series_matches_fresh_tallies():
-    series = record_series(5, 10_000)
+def test_record_series_matches_fresh_tallies(tally_of):
+    series = record_many([5], 10_000)[5]
     schedule = checkpoint_schedule(10_000)
     assert [cp.x for cp in series.checkpoints] == schedule
     for cp in (series.checkpoints[0], series.checkpoints[7], series.checkpoints[-1]):
-        fresh = checkpoint(tally_range(5, cp.x))
+        fresh = checkpoint(tally_of(5, cp.x))
         assert np.array_equal(cp.scaled_residuals, fresh.scaled_residuals)
 
 
 def test_record_series_segment_size_invisible():
-    a = record_series(3, 5000, segment_size=64_000)
-    b = record_series(3, 5000, segment_size=1031)  # prime-sized blocks
+    a = record_many([3], 5000, segment_size=64_000)[3]
+    b = record_many([3], 5000, segment_size=1031)[3]  # prime-sized blocks
     for cpa, cpb in zip(a.checkpoints, b.checkpoints):
         assert cpa.x == cpb.x
         assert np.array_equal(cpa.scaled_residuals, cpb.scaled_residuals)
@@ -111,7 +110,7 @@ def test_record_series_segment_size_invisible():
 def test_record_many_single_pass_consistency():
     bundle = record_many([2, 3, 7], 3000)
     for m in (2, 3, 7):
-        solo = record_series(m, 3000)
+        solo = record_many([m], 3000)[m]
         assert [c.x for c in bundle[m].checkpoints] == [c.x for c in solo.checkpoints]
         for ca, cb in zip(bundle[m].checkpoints, solo.checkpoints):
             assert np.array_equal(ca.scaled_residuals, cb.scaled_residuals)
@@ -154,7 +153,7 @@ def test_growth_exponent_skips_zero_residuals():
 
 
 def test_growth_exponent_validates_class():
-    series = record_series(3, 1000)
+    series = record_many([3], 1000)[3]
     with pytest.raises(ValueError):
         growth_exponent(series, 3)
 
@@ -178,7 +177,7 @@ def test_character_growth_exponent_real_data():
     # The m = 3 twist has a smooth dominant term, so the fitted slope is
     # stable; m = 2 (the alternating twist) oscillates too wildly at small
     # x for any tight window and is exercised elsewhere.
-    series = record_series(3, 100_000)
+    series = record_many([3], 100_000)[3]
     fit = character_growth_exponent(series, 1)
     assert 0.5 < fit.alpha_hat < 1.0
     assert fit.residual_rms < 0.5
@@ -187,14 +186,14 @@ def test_character_growth_exponent_real_data():
 
 def test_character_growth_conjugate_pair_identical():
     # |S_k| = |S_{m-k}| pointwise, so the fits must agree to rounding.
-    series = record_series(5, 20_000)
+    series = record_many([5], 20_000)[5]
     fit2 = character_growth_exponent(series, 2)
     fit3 = character_growth_exponent(series, 3)
     assert fit2.alpha_hat == pytest.approx(fit3.alpha_hat, abs=1e-9)
 
 
 def test_character_growth_validates_k():
-    series = record_series(3, 1000)
+    series = record_many([3], 1000)[3]
     for k in (0, 3):
         with pytest.raises(ValueError):
             character_growth_exponent(series, k)

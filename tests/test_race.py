@@ -16,7 +16,6 @@ from omegadist.race import (
     all_pairs,
     race_scan,
 )
-from omegadist.residues import tally_range
 from omegadist.sieve import OmegaSegment, iter_segments, omega_single
 
 
@@ -51,9 +50,9 @@ def test_events_alternate_and_increase():
             assert a.direction != b.direction
 
 
-def test_final_delta_matches_tally():
+def test_final_delta_matches_tally(tally_of):
     x_max = 30_000
-    tally = tally_range(4, x_max)
+    tally = tally_of(4, x_max)
     for summary in all_pairs(4, x_max):
         expected = int(tally.counts[summary.j] - tally.counts[summary.jprime])
         assert summary.final_delta == expected

@@ -1,6 +1,7 @@
 """Tally and transform tests: brute-force oracles at small x, the
-histogram fold against a plain bincount, exactness of the forward/inverse
-pair, merge algebra, and corruption detection."""
+histogram fold against a plain bincount, windows (tallies with lo > 1)
+that add up to the full tally, exactness of the forward/inverse pair, and
+corruption detection."""
 
 import math
 import random
@@ -21,12 +22,9 @@ from omegadist.residues import (
     counts_from_sums,
     fold_counts,
     inverse_residuals,
-    lambda_value,
-    merge,
     new_tally,
     root_table,
     sums_from_counts,
-    tally_range,
     tally_segment,
 )
 from omegadist.sieve import omega_block, omega_single, primes_up_to
@@ -48,49 +46,19 @@ def test_root_table_unit_circle():
     assert abs(roots.powers[6] + 1.0) < 1e-15
 
 
-def test_lambda_value_examples():
-    # m = 2, k = 1 is (-1)^Omega: the classical completely multiplicative sign.
-    assert lambda_value(0, 2, 1) == 1
-    assert lambda_value(3, 2, 1) == -1
-    assert abs(lambda_value(5, 4, 1) - 1j) < 1e-15  # i^5 = i
-    assert lambda_value(7, 1, 0) == 1  # trivial modulus
-
-
-def test_lambda_value_multiplicative():
-    # zeta^(k*Omega(ab)) = zeta^(k*Omega(a)) * zeta^(k*Omega(b)) since Omega
-    # is completely additive.
-    rng = random.Random(99)
-    for _ in range(50):
-        a, b = rng.randint(2, 500), rng.randint(2, 500)
-        m = rng.randint(1, 9)
-        k = rng.randrange(m)
-        lhs = lambda_value(omega_single(a * b), m, k)
-        rhs = lambda_value(omega_single(a), m, k) * lambda_value(omega_single(b), m, k)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_lambda_value_validates():
-    with pytest.raises(ValueError):
-        lambda_value(-1, 3, 1)
-    with pytest.raises(ValueError):
-        lambda_value(2, 3, 3)
-    with pytest.raises(ValueError):
-        lambda_value(2, 3, -1)
-
-
 @pytest.mark.parametrize("m,x,expected", [(3, 20, [5, 9, 6]), (2, 10, [5, 5])])
-def test_tally_known_values(m, x, expected):
-    assert tally_range(m, x).counts.tolist() == expected
+def test_tally_known_values(m, x, expected, tally_of):
+    assert tally_of(m, x).counts.tolist() == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 12])
-def test_tally_matches_brute_force(m):
+def test_tally_matches_brute_force(m, tally_of):
     x = 300
-    assert tally_range(m, x).counts.tolist() == brute_counts(m, x)
+    assert tally_of(m, x).counts.tolist() == brute_counts(m, x)
 
 
-def test_tally_counts_sum_to_range_length():
-    tally = tally_range(5, 4321)
+def test_tally_counts_sum_to_range_length(tally_of):
+    tally = tally_of(5, 4321)
     assert int(tally.counts.sum()) == 4321
     assert tally.lo == 1 and tally.x == 4321
 
@@ -154,73 +122,61 @@ def test_fold_counts_refuses_values_from_64(values):
         fold_counts(np.array(values, dtype=np.uint8), [np.zeros(3, dtype=np.int64)])
 
 
-def test_merge_of_adjacent_ranges():
-    table = primes_up_to(10)
-    a = tally_segment(new_tally(4), omega_block(1, 11, table))
-    b = tally_segment(new_tally(4, lo=11), omega_block(11, 21, table))
-    merged = merge(a, b)
-    assert merged.counts.tolist() == brute_counts(4, 20)
-    assert merged.lo == 1 and merged.x == 20
-
-
-def test_merge_identity_and_errors():
-    t = tally_range(3, 50)
-    same = merge(t, new_tally(3))
-    assert same.counts.tolist() == t.counts.tolist() and same.x == 50
-    with pytest.raises(ValueError):
-        merge(t, tally_range(5, 10))  # modulus mismatch
-    with pytest.raises(ValueError):
-        merge(t, tally_range(3, 10))  # overlapping, not adjacent
-
-
-def test_merge_random_partition_matches_full_tally():
-    """Tallying disjoint blocks independently and merging gives the same
-    result as one pass, whatever the cut points."""
+def test_window_tallies_sum_to_full_tally(tally_of):
+    """Cut 1..x at random points and tally each window [lo, hi) on its own
+    from new_tally(m, lo): each window keeps its anchor and ends at hi - 1,
+    and the windows add up to the tally of 1..x."""
     m, x = 6, 2000
     table = primes_up_to(math.isqrt(x))
     rng = random.Random(5)
     cuts = sorted(rng.sample(range(2, x), 5))
-    bounds = list(zip([1] + cuts, cuts + [x + 1]))
-    total = new_tally(m)
-    for lo, hi in bounds:
-        part = tally_segment(new_tally(m, lo=lo), omega_block(lo, hi, table))
-        total = merge(total, part)
-    assert total.counts.tolist() == tally_range(m, x).counts.tolist()
+    total = np.zeros(m, dtype=np.int64)
+    for lo, hi in zip([1] + cuts, cuts + [x + 1]):
+        window = tally_segment(new_tally(m, lo), omega_block(lo, hi, table))
+        assert window.lo == lo and window.x == hi - 1
+        total += window.counts
+    assert total.tolist() == tally_of(m, x).counts.tolist()
+    # A window takes only the segment that starts right after its end.
+    window = new_tally(m, lo=11)
+    with pytest.raises(ValueError):
+        tally_segment(window, omega_block(1, 11, table))
+    with pytest.raises(ValueError):
+        tally_segment(window, omega_block(12, 20, table))
 
 
-def test_sums_k0_is_exactly_x():
-    sums = sums_from_counts(tally_range(7, 12345))
+def test_sums_k0_is_exactly_x(tally_of):
+    sums = sums_from_counts(tally_of(7, 12345))
     assert sums.sums[0] == 12345 + 0j  # bitwise, not approximately
 
 
-def test_sums_liouville_example():
+def test_sums_liouville_example(tally_of):
     # m = 2: S_1(x) = N_0 - N_1; at x = 10 the classes tie.
-    sums = sums_from_counts(tally_range(2, 10))
+    sums = sums_from_counts(tally_of(2, 10))
     assert abs(sums.sums[1]) < 1e-12
 
 
-def test_sums_match_direct_accumulation():
+def test_sums_match_direct_accumulation(tally_of):
     """Cross-check the transform against the definition: a per-n sum of
     unit roots (done in floating point only here, in the test)."""
     m, x = 5, 400
     values = omega_block(1, x + 1, primes_up_to(math.isqrt(x))).values
     roots = root_table(m)
-    sums = sums_from_counts(tally_range(m, x))
+    sums = sums_from_counts(tally_of(m, x))
     for k in range(m):
         direct = sum(roots.powers[(k * int(v)) % m] for v in values)
         assert abs(sums.sums[k] - direct) < 1e-9
 
 
-def test_conjugate_symmetry():
+def test_conjugate_symmetry(tally_of):
     # Counts are real, so S_{m-k} is the conjugate of S_k.
-    sums = sums_from_counts(tally_range(9, 3000))
+    sums = sums_from_counts(tally_of(9, 3000))
     for k in range(1, 9):
         assert abs(sums.sums[9 - k] - np.conj(sums.sums[k])) < 1e-9
 
 
-def test_parseval():
+def test_parseval(tally_of):
     m, x = 8, 2500
-    tally = tally_range(m, x)
+    tally = tally_of(m, x)
     sums = sums_from_counts(tally)
     lhs = float(np.sum(np.abs(sums.sums) ** 2))
     rhs = m * float(np.sum(tally.counts.astype(np.float64) ** 2))
@@ -228,8 +184,8 @@ def test_parseval():
 
 
 @pytest.mark.parametrize("m", list(range(1, 13)))
-def test_roundtrip_exact(m):
-    tally = tally_range(m, 1000)
+def test_roundtrip_exact(m, tally_of):
+    tally = tally_of(m, 1000)
     sums = sums_from_counts(tally)
     back = counts_from_sums(sums)
     assert np.array_equal(back.counts, tally.counts)
@@ -238,8 +194,8 @@ def test_roundtrip_exact(m):
     assert worst_real < 1e-9 and worst_imag < 1e-9
 
 
-def test_corrupted_sums_detected():
-    sums = sums_from_counts(tally_range(6, 500))
+def test_corrupted_sums_detected(tally_of):
+    sums = sums_from_counts(tally_of(6, 500))
     bad = CharacterSumSet(m=6, x=500, sums=sums.sums + np.array([0, 0.5, 0, 0, 0, 0]))
     with pytest.raises(InconsistentTransformError):
         counts_from_sums(bad)

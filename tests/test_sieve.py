@@ -14,6 +14,7 @@ try:
 except ImportError:  # the property test is skipped, the rest still runs
     given = None
 
+from omegadist import sieve
 from omegadist.dirichlet import truncated_L
 from omegadist.race import race_scan
 from omegadist.sieve import (
@@ -260,6 +261,22 @@ def test_iter_segments_workers_agree():
         [s.values for s in iter_segments(n_max, segment_size=1024, workers=3)]
     )
     assert np.array_equal(serial, parallel)
+
+
+def test_pooled_stream_builds_no_parent_table(monkeypatch):
+    # Each pool worker builds its own prime table; the parent needs none.
+    calls = []
+
+    def counting_primes_up_to(limit):
+        calls.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(sieve, "primes_up_to", counting_primes_up_to)
+    pooled = [s.values for s in iter_segments(5000, segment_size=1024, workers=2)]
+    assert calls == []
+    serial = [s.values for s in iter_segments(5000, segment_size=1024)]
+    assert calls == [70]
+    assert np.array_equal(np.concatenate(pooled), np.concatenate(serial))
 
 
 def test_iter_segments_validates_arguments():
