@@ -122,10 +122,26 @@ def test_fold_counts_refuses_values_from_64(values):
         fold_counts(np.array(values, dtype=np.uint8), [np.zeros(3, dtype=np.int64)])
 
 
-def test_window_tallies_sum_to_full_tally(tally_of):
-    """Cut 1..x at random points and tally each window [lo, hi) on its own
-    from new_tally(m, lo): each window keeps its anchor and ends at hi - 1,
-    and the windows add up to the tally of 1..x."""
+def test_merge_of_adjacent_ranges():
+    """Two adjacent windows, each tallied from new_tally(m, lo), keep their
+    anchors and add up to the brute-force counts of 1..20; a window takes
+    only the segment that starts right after its end."""
+    table = primes_up_to(10)
+    a = tally_segment(new_tally(4), omega_block(1, 11, table))
+    b = tally_segment(new_tally(4, lo=11), omega_block(11, 21, table))
+    assert (a.lo, a.x, b.lo, b.x) == (1, 10, 11, 20)
+    assert (a.counts + b.counts).tolist() == brute_counts(4, 20)
+    window = new_tally(4, lo=11)
+    with pytest.raises(ValueError):
+        tally_segment(window, omega_block(1, 11, table))
+    with pytest.raises(ValueError):
+        tally_segment(window, omega_block(12, 20, table))
+
+
+def test_merge_random_partition_matches_full_tally(tally_of):
+    """Cut 1..x at random points and tally each window [lo, hi) on its own:
+    each window ends at hi - 1, and the windows add up to the tally of
+    1..x, whatever the cut points."""
     m, x = 6, 2000
     table = primes_up_to(math.isqrt(x))
     rng = random.Random(5)
@@ -136,12 +152,6 @@ def test_window_tallies_sum_to_full_tally(tally_of):
         assert window.lo == lo and window.x == hi - 1
         total += window.counts
     assert total.tolist() == tally_of(m, x).counts.tolist()
-    # A window takes only the segment that starts right after its end.
-    window = new_tally(m, lo=11)
-    with pytest.raises(ValueError):
-        tally_segment(window, omega_block(1, 11, table))
-    with pytest.raises(ValueError):
-        tally_segment(window, omega_block(12, 20, table))
 
 
 def test_sums_k0_is_exactly_x(tally_of):
