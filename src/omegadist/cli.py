@@ -49,6 +49,8 @@ from .residues import (
 )
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
+    MAX_SEGMENT_SIZE,
+    MAX_WORKERS,
     OmegaSegment,
     _omega_trial_division,
     omega_block,
@@ -133,10 +135,12 @@ def _moduli(args) -> list[int]:
 
 
 def _check_stream_flags(args) -> None:
-    if args.segment_size < 1024:
-        raise ValueError(f"segment-size must be >= 1024, got {args.segment_size}")
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    if not 1024 <= args.segment_size <= MAX_SEGMENT_SIZE:
+        raise ValueError(
+            f"segment-size must be in 1024..{MAX_SEGMENT_SIZE}, got {args.segment_size}"
+        )
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {args.workers}")
 
 
 # ---------------------------------------------------------------- commands
@@ -486,10 +490,14 @@ def _add_stream_flags(parser) -> None:
         type=int,
         default=DEFAULT_SEGMENT_SIZE,
         metavar="N",
-        help="sieve block length (default: 2^20)",
+        help="sieve block length, 1024 to 2^24 (default: 2^20)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="sieve processes"
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help=f"sieve processes, 1 to {MAX_WORKERS} (default: 1)",
     )
 
 

@@ -22,11 +22,20 @@ The prime powers dividing 120120 = 2^3 * 3 * 5 * 7 * 11 * 13, which would
 each make a full strided pass over the 4 MB of words of a 2^20 block, are
 sieved once into a periodic pattern; every block starts as a copy of that
 pattern from lo mod 120120, the pre-sieve step of segmented sieves such as
-Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  Other prime
-powers that hit a block many times are marked with one strided slice
-each.  The many large primes of a high block hit it only a few times each;
-their hit indices are expanded and folded with np.add.at in one vectorized
-pass, the bucket-sieve idea of the same paper written in numpy.
+Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  What depends
+only on the prime table is computed once per table, as in that paper: the
+packed increment of every prime, and every higher power p^e (e >= 3) that a
+block the table covers can reach.  A block then takes its prime powers as
+three ascending groups, the primes up to its root, their squares and the
+cached higher powers below hi, each with one modulo for the offset of its
+first multiple.  Prime powers that hit a block many times are marked with
+one strided slice each.  The many large primes of a high block hit it only
+a few times each; their hit indices are expanded and folded with np.add.at
+in one vectorized pass, the bucket-sieve idea of the same paper written in
+numpy.
+
+A pooled stream sends each worker's block back through one shared buffer
+of (workers + 2) block slots, not as a pickled array through a pipe.
 """
 
 from __future__ import annotations
@@ -66,6 +75,12 @@ _PATTERN_PERIOD = 120120
 # time, so its index temporaries stay a small fraction of the block.
 _CHUNK_DIVISOR = 64
 
+# Bounds on a stream's worker count and block length, checked before any
+# process starts: a pooled stream shares (workers + 2) * segment_size bytes
+# with its workers, and a fork pool starts every worker at once.
+MAX_WORKERS = 64
+MAX_SEGMENT_SIZE = 1 << 24
+
 
 @dataclass(frozen=True)
 class PrimeTable:
@@ -83,6 +98,41 @@ class PrimeTable:
         read by hall.mertens_sum.  cumsum adds strictly left to right, so
         each entry is the same float as summing its prefix afresh."""
         return np.cumsum(1.0 / self.primes)
+
+    @functools.cached_property
+    def _prime_increments(self) -> np.ndarray:
+        """The packed increment of every prime, as uint32, shared by every
+        block the table sieves."""
+        increments = _increments(self.primes)
+        increments.flags.writeable = False
+        return increments
+
+    @functools.cached_property
+    def _higher_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every p^e with e >= 3 below min((limit + 1)^2, 2**64), the bound
+        on hi of any block the table covers, less 8, which the small-prime
+        pattern holds: ascending as uint64, with the increment of p."""
+        cap = np.uint64(min((self.limit + 1) ** 2, 1 << 64) - 1)
+        base = power = self.primes.view(np.uint64)
+        inc = self._prime_increments
+        powers, increments = [], []
+        for e in itertools.count(2):
+            # The primes with p^e <= cap are a prefix, and power * base
+            # <= cap < 2**64 cannot wrap.
+            keep = int(np.count_nonzero(power <= cap // base))
+            if not keep:
+                break
+            base, inc, power = base[:keep], inc[:keep], power[:keep] * base[:keep]
+            if e >= 3:
+                powers.append(power)
+                increments.append(inc)
+        q = np.concatenate([np.empty(0, np.uint64), *powers])
+        q_inc = np.concatenate([np.empty(0, np.uint32), *increments])
+        order = np.argsort(q, kind="stable")
+        order = order[_PATTERN_PERIOD % q[order] != 0]
+        q, q_inc = q[order], q_inc[order]
+        q.flags.writeable = q_inc.flags.writeable = False
+        return q, q_inc
 
 
 @dataclass(frozen=True)
@@ -238,12 +288,11 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
             f"prime table covers {table.limit} but isqrt(hi - 1) = {root}"
         )
     n = hi - lo
-    primes = table.primes[: np.searchsorted(table.primes, root, side="right")]
     # Allocated before the counter words, so that freeing those leaves no
     # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
     words = _tile_pattern(lo, n)
-    for q, start, inc in _prime_powers(lo, hi, primes):
+    for q, start, inc in _prime_powers(lo, hi, table):
         dense = int(np.searchsorted(q, n // _DENSE_HITS, side="right"))
         for step, first, add in zip(
             q[:dense].tolist(), start[:dense].tolist(), inc[:dense].tolist()
@@ -301,36 +350,45 @@ def _tile_pattern(lo: int, n: int) -> np.ndarray:
 
 
 def _prime_powers(
-    lo: int, hi: int, primes: np.ndarray
+    lo: int, hi: int, table: PrimeTable
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For e = 1, 2, ..., yield the powers q = p^e < hi of the given primes
-    that have a multiple in [lo, hi), less those in the small-prime
-    pattern: q ascending (uint64), the offset of its first multiple (int64)
-    and the packed increment (uint32)."""
-    inc = _increments(primes)
-    base = power = primes.astype(np.uint64)
-    while len(power):
-        # The pattern's powers of this level are its smallest entries: the
-        # primes up to 13 at e = 1, then 4 and 8.  Slicing them off keeps
-        # the arrays views.
-        head = power[: len(_PATTERN_PRIMES)]
-        skip = int(np.count_nonzero(_PATTERN_PERIOD % head == 0))
-        q, q_inc = power[skip:], inc[skip:]
-        # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
-        start = np.uint64(lo - 1) % q
-        np.subtract(q, start, out=start)
-        start -= np.uint64(1)
-        # Offsets below the block length fit int64 unchanged.  Powers up
-        # to the block length all hit; they are passed on without a copy.
-        hit = start < hi - lo
-        if hit.all():
-            yield q, start.view(np.int64), q_inc
-        else:
-            yield q[hit], start[hit].view(np.int64), q_inc[hit]
-        # The primes with p^(e+1) < hi are a prefix, and power * base
-        # <= hi - 1 < 2**64 cannot wrap.
-        keep = int(np.count_nonzero(power <= np.uint64(hi - 1) // base))
-        base, inc, power = base[:keep], inc[:keep], power[:keep] * base[:keep]
+    """Yield the prime powers q = p^e < hi with p <= isqrt(hi - 1) that have
+    a multiple in [lo, hi), less those in the small-prime pattern, in three
+    groups: the primes, their squares and the higher powers.  Each group is
+    q ascending (uint64), the offset of its first multiple (int64) and the
+    packed increment (uint32)."""
+    count = int(np.searchsorted(table.primes, math.isqrt(hi - 1), side="right"))
+    primes = table.primes[:count].view(np.uint64)
+    inc = table._prime_increments[:count]
+    # The pattern's primes are the smallest primes, and 4 the smallest
+    # square; slicing them off keeps the arrays views.
+    skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
+    yield _first_hits(lo, hi, primes[skip:], inc[skip:])
+    # p <= isqrt(hi - 1) gives p^2 < hi, and every p^e < hi with e >= 3 is
+    # a cached power of such a p.
+    squares = primes * primes
+    skip = int(np.count_nonzero(_PATTERN_PERIOD % squares[:1] == 0))
+    yield _first_hits(lo, hi, squares[skip:], inc[skip:])
+    powers, power_inc = table._higher_powers
+    count = int(np.searchsorted(powers, np.uint64(hi - 1), side="right"))
+    yield _first_hits(lo, hi, powers[:count], power_inc[:count])
+
+
+def _first_hits(
+    lo: int, hi: int, q: np.ndarray, inc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, start, inc) for the q with a multiple in [lo, hi), start being
+    the offset of the first."""
+    # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
+    start = np.uint64(lo - 1) % q
+    np.subtract(q, start, out=start)
+    start -= np.uint64(1)
+    # Offsets below the block length fit int64 unchanged.  Powers up to the
+    # block length all hit; they are passed on without a copy.
+    hit = start < hi - lo
+    if hit.all():
+        return q, start.view(np.int64), inc
+    return q[hit], start[hit].view(np.int64), inc[hit]
 
 
 def _fold_sparse(
@@ -365,9 +423,11 @@ def _fold_sparse(
         np.add.at(words, idx, np.repeat(inc[i:j], c))
 
 
-# Per-process cache so pool workers sieve their prime table once, not once
-# per submitted block.
+# Per-process state of a pool worker: its prime tables, so that it sieves
+# each once, not once per submitted block, and a view of the stream's shared
+# block buffer.
 _worker_tables: dict[int, PrimeTable] = {}
+_worker_buffer: np.ndarray | None = None
 
 
 def _block_values(lo: int, hi: int, limit: int) -> np.ndarray:
@@ -378,12 +438,22 @@ def _block_values(lo: int, hi: int, limit: int) -> np.ndarray:
     return omega_block(lo, hi, table).values
 
 
-def segment_bounds(x_max: int, segment_size: int) -> list[tuple[int, int]]:
-    """Half-open block bounds covering 1..x_max in order."""
-    return [
-        (lo, min(lo + segment_size, x_max + 1))
-        for lo in range(1, x_max + 1, segment_size)
-    ]
+def _attach_buffer(buffer) -> None:
+    """Pool initializer: keep a uint8 view of the shared block buffer."""
+    global _worker_buffer
+    _worker_buffer = np.frombuffer(buffer, dtype=np.uint8)
+
+
+def _sieve_into_buffer(lo: int, hi: int, limit: int, offset: int) -> None:
+    """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
+    _worker_buffer[offset : offset + hi - lo] = _block_values(lo, hi, limit)
+
+
+def segment_bounds(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    """Half-open block bounds covering 1..x_max in order, made as they are
+    read."""
+    for lo in range(1, x_max + 1, segment_size):
+        yield lo, min(lo + segment_size, x_max + 1)
 
 
 def iter_segments(
@@ -397,31 +467,49 @@ def iter_segments(
     With workers > 1 the blocks are computed in a process pool, each worker
     with its own prime table, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
+    segment_size may be at most MAX_SEGMENT_SIZE and workers at most
+    MAX_WORKERS.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
+        raise ValueError(
+            f"segment_size must be in 1..{MAX_SEGMENT_SIZE}, got {segment_size}"
+        )
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     limit = max(2, math.isqrt(x_max))
-    bounds = segment_bounds(x_max, segment_size)
+    blocks = segment_bounds(x_max, segment_size)
     if workers == 1:
         table = primes_up_to(limit)
-        for lo, hi in bounds:
+        for lo, hi in blocks:
             yield omega_block(lo, hi, table)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        bound_iter = iter(bounds)
-        for lo, hi in itertools.islice(bound_iter, workers + 2):
-            pending.append((lo, hi, pool.submit(_block_values, lo, hi, limit)))
+    # Imported here: it loads the multiprocessing heap, which a serial
+    # stream does not need.
+    from multiprocessing.sharedctypes import RawArray
+
+    # Block k goes to slot k mod slots.  At most slots blocks are in flight,
+    # so no slot is written again before the parent has copied it out.
+    slots = workers + 2
+    width = min(segment_size, x_max)
+    buffer = RawArray("B", slots * width)
+    shared = np.frombuffer(buffer, dtype=np.uint8)
+    jobs = (
+        (lo, hi, limit, k % slots * width) for k, (lo, hi) in enumerate(blocks)
+    )
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_attach_buffer, initargs=(buffer,)
+    ) as pool:
+        pending = deque(
+            (job, pool.submit(_sieve_into_buffer, *job))
+            for job in itertools.islice(jobs, slots)
+        )
         while pending:
-            lo, hi, future = pending.popleft()
-            values = future.result()
-            nxt = next(bound_iter, None)
-            if nxt is not None:
-                pending.append(
-                    (nxt[0], nxt[1], pool.submit(_block_values, nxt[0], nxt[1], limit))
-                )
+            (lo, hi, _, offset), future = pending.popleft()
+            future.result()
+            values = shared[offset : offset + hi - lo].copy()
+            job = next(jobs, None)
+            if job is not None:
+                pending.append((job, pool.submit(_sieve_into_buffer, *job)))
             yield OmegaSegment(lo=lo, hi=hi, values=values)

@@ -367,6 +367,20 @@ def test_usage_error_on_tiny_segment_size(capsys):
     assert "segment-size" in err
 
 
+def test_usage_error_on_too_many_workers(capsys, monkeypatch):
+    # The flag is refused before any worker process starts.
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(
+        capsys, "density", "--m", "3", "--x-max", "5000", "--workers", "100000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "workers" in err
+
+
 def test_no_command_prints_usage(capsys):
     code, _, err = run_cli(capsys)
     assert code == 2

@@ -3,7 +3,9 @@ and at the edges of the block sieve, segment-boundary independence,
 argument validation, and the source checks of the stream consumers."""
 
 import math
+import multiprocessing
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from omegadist.dirichlet import truncated_L
 from omegadist.race import race_scan
 from omegadist.sieve import (
     OmegaSegment,
+    PrimeTable,
+    _prime_powers,
     _omega_trial_division,
     iter_segments,
     omega_block,
@@ -236,7 +240,7 @@ def test_omega_block_validates_arguments():
 
 
 def test_segment_bounds_cover_exactly():
-    bounds = segment_bounds(10**5, 2**12)
+    bounds = list(segment_bounds(10**5, 2**12))
     assert bounds[0][0] == 1
     assert bounds[-1][1] == 10**5 + 1
     for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
@@ -279,6 +283,103 @@ def test_pooled_stream_builds_no_parent_table(monkeypatch):
     assert np.array_equal(np.concatenate(pooled), np.concatenate(serial))
 
 
+def test_pooled_segments_do_not_alias():
+    """Pooled blocks come back through one shared buffer; each yielded
+    array must be its own copy, equal to the serial block."""
+    serial = list(iter_segments(50_000, segment_size=1024))
+    pooled = list(iter_segments(50_000, segment_size=1024, workers=2))
+    assert [(s.lo, s.hi) for s in pooled] == [(s.lo, s.hi) for s in serial]
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.values, b.values)
+    for i, a in enumerate(pooled):
+        for b in pooled[i + 1 :]:
+            assert not np.shares_memory(a.values, b.values)
+
+
+def test_pooled_stream_under_spawn():
+    # A spawned worker inherits nothing, so the shared buffer must reach it
+    # by pickling.
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        pooled = [s.values for s in iter_segments(5000, segment_size=1024, workers=2)]
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    serial = [s.values for s in iter_segments(5000, segment_size=1024)]
+    assert np.concatenate(pooled).tobytes() == np.concatenate(serial).tobytes()
+
+
+def test_stream_schedule_memory_is_bounded():
+    # The block schedule of 10^9 in 1024-wide blocks is about a million
+    # bounds; they are made as they are read, not listed up front.
+    tracemalloc.start()
+    try:
+        next(iter_segments(10**9, segment_size=1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _brute_force_powers(lo, hi, primes):
+    """(q, start, inc) of every p^e < hi with p <= isqrt(hi - 1) and a
+    multiple in [lo, hi), except the powers dividing 120120, in plain
+    Python."""
+    found = []
+    for p in primes:
+        if p > math.isqrt(hi - 1):
+            break
+        inc = 1 + (round(512 * math.log2(p)) << 16)
+        q = p
+        while q < hi:
+            start = -lo % q
+            if PATTERN_PERIOD % q and start < hi - lo:
+                found.append((q, start, inc))
+            q *= p
+    return sorted(found)
+
+
+def test_prime_powers_match_brute_force():
+    rng = random.Random(20261018)
+    table = primes_up_to(math.isqrt(10**13))
+    cases = [(1, 2), (1, 170), (2, 10**4)]
+    for _ in range(30):
+        hi = rng.randrange(3, 10 ** rng.randint(2, 13))
+        lo = max(1, hi - rng.randrange(1, 5000))
+        cases.append((lo, hi))
+    primes = table.primes.tolist()
+    for lo, hi in cases:
+        # The shared table is far larger than most roots; a table sized to
+        # the root must give the same powers.
+        small = primes_up_to(max(2, math.isqrt(hi - 1)))
+        expected = _brute_force_powers(lo, hi, primes)
+        for t in (table, small):
+            got = sorted(
+                (q, start, inc)
+                for group in _prime_powers(lo, hi, t)
+                for q, start, inc in zip(*(a.tolist() for a in group))
+            )
+            assert got == expected, (lo, hi, t.limit)
+
+
+def test_cached_powers_stop_below_2_to_64():
+    # With limit 2^32 - 1 a block may reach hi = 2^64, so the cached powers
+    # of a prime run up to the last one below 2^64 and never wrap.
+    primes = primes_up_to(541).primes
+    assert len(primes) == 100
+    table = PrimeTable(limit=2**32 - 1, primes=primes)
+    expected = []
+    for p in primes.tolist():
+        inc = 1 + (round(512 * math.log2(p)) << 16)
+        e = 3
+        while p**e < 2**64:
+            if PATTERN_PERIOD % p**e:
+                expected.append((p**e, inc))
+            e += 1
+    q, inc = table._higher_powers
+    assert list(zip(q.tolist(), inc.tolist())) == sorted(expected)
+
+
 def test_iter_segments_validates_arguments():
     with pytest.raises(ValueError):
         list(iter_segments(0))
@@ -286,6 +387,10 @@ def test_iter_segments_validates_arguments():
         list(iter_segments(10, workers=0))
     with pytest.raises(ValueError):
         list(iter_segments(10, segment_size=0))
+    with pytest.raises(ValueError, match="workers"):
+        next(iter_segments(10, workers=sieve.MAX_WORKERS + 1))
+    with pytest.raises(ValueError, match="segment_size"):
+        next(iter_segments(10, segment_size=sieve.MAX_SEGMENT_SIZE + 1))
 
 
 # Both consumers of a caller-supplied Omega stream, reading 1..1000.
