@@ -6,9 +6,10 @@ single JSON document {"command", "config", "rows"}.  Reals are rendered with
 15 significant digits.  Output is byte-identical for identical flags
 regardless of --workers.
 
-Exit codes: 0 success, 1 tolerance or self-check failure, 2 usage error
-(including a NaN flag value, and a run too large to fit in memory), 3 I/O
-error, 4 a sieve worker process died.
+Exit codes: 0 success, 1 tolerance or self-check failure, or too few
+nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
+error (including a NaN flag value, an x_max of 2**64 or more, and a run too
+large to fit in memory), 3 I/O error, 4 a sieve worker process died.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .residues import residue_lut, root_table
-from .sieve import OmegaSegment, PrimeTable, clip_segments, iter_segments, primes_up_to
+from .sieve import PrimeTable, iter_segments, primes_up_to
 
 #: Truncation of the reference zeta values in the identity checks; tail
 #: error ~ 5e-11 at s = 2.
@@ -74,17 +73,11 @@ def zeta_ref(s: complex, terms: int) -> complex:
     return head + tail
 
 
-def truncated_L(
-    m: int,
-    k: int,
-    s: complex,
-    n_max: int,
-    omega_source: Iterable[OmegaSegment] | None = None,
-) -> DirichletEvaluation:
+def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
     """Partial sum over n <= n_max of zeta_m^(k*Omega(n)) / n^s.
 
-    Omega values come from the segmented sieve (or any supplied source
-    covering 1..n_max contiguously); no per-n factoring happens here.
+    Omega values come from the segmented sieve; no per-n factoring happens
+    here.
     """
     s = complex(s)
     if not s.real > 1.0:
@@ -96,10 +89,9 @@ def truncated_L(
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     weights = root_table(m).powers[(residue_lut(m) * k) % m]
     total = 0j
-    source = omega_source if omega_source is not None else iter_segments(n_max)
-    for lo, values in clip_segments(source, n_max):
-        n = np.arange(lo, lo + len(values), dtype=np.float64)
-        total += complex(np.sum(weights[values] * n ** (-s)))
+    for segment in iter_segments(n_max):
+        n = np.arange(segment.lo, segment.hi, dtype=np.float64)
+        total += complex(np.sum(weights[segment.values] * n ** (-s)))
     return DirichletEvaluation(
         m=m, k=k, s=s, method="truncated-sum", cutoff=n_max, value=total
     )

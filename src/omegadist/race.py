@@ -27,12 +27,11 @@ below 10^7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .residues import residue_lut
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, clip_segments, iter_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -144,12 +143,9 @@ def _scan(
     *,
     segment_size: int,
     workers: int,
-    omega_source: Iterable[OmegaSegment] | None,
 ) -> list[RaceSummary]:
     if m < 2:
         raise ValueError(f"need m >= 2 to race two classes, got {m}")
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
     for j, jprime in pairs:
         if not (0 <= j < m and 0 <= jprime < m):
             raise ValueError(f"classes out of range: j={j}, jprime={jprime}, m={m}")
@@ -157,15 +153,10 @@ def _scan(
             raise ValueError(f"classes must differ, got j = jprime = {j}")
     scanners = [_PairScanner(m, j, jprime) for j, jprime in pairs]
     lut = residue_lut(m).astype(np.uint8)
-    source = omega_source if omega_source is not None else iter_segments(
-        x_max, segment_size=segment_size, workers=workers
-    )
     offsets = np.empty(0, dtype=np.intp)
-    for lo, values in clip_segments(source, x_max):
-        residues = lut[values]
+    for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
+        residues = lut[segment.values]
         n = len(residues)
-        if n == 0:
-            continue
         if len(offsets) < n:
             # offsets[i] = m * (i // SUB_BLOCK), shared by equal segments.
             offsets = np.arange(n, dtype=np.intp) // SUB_BLOCK * m
@@ -175,7 +166,7 @@ def _scan(
         lengths = np.full(blocks, SUB_BLOCK, dtype=np.int64)
         lengths[-1] = n - (blocks - 1) * SUB_BLOCK
         for scanner in scanners:
-            scanner.feed_blocks(residues, lo, counts, lengths)
+            scanner.feed_blocks(residues, segment.lo, counts, lengths)
     return [scanner.summary(x_max) for scanner in scanners]
 
 
@@ -187,17 +178,9 @@ def race_scan(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    omega_source: Iterable[OmegaSegment] | None = None,
 ) -> RaceSummary:
     """Scan Delta(x) = N_j(x) - N_j'(x) for x <= x_max."""
-    return _scan(
-        m,
-        [(j, jprime)],
-        x_max,
-        segment_size=segment_size,
-        workers=workers,
-        omega_source=omega_source,
-    )[0]
+    return _scan(m, [(j, jprime)], x_max, segment_size=segment_size, workers=workers)[0]
 
 
 def all_pairs(
@@ -206,15 +189,7 @@ def all_pairs(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    omega_source: Iterable[OmegaSegment] | None = None,
 ) -> list[RaceSummary]:
     """Race every unordered pair j < jprime in one sieve pass."""
     pairs = [(j, jprime) for j in range(m) for jprime in range(j + 1, m)]
-    return _scan(
-        m,
-        pairs,
-        x_max,
-        segment_size=segment_size,
-        workers=workers,
-        omega_source=omega_source,
-    )
+    return _scan(m, pairs, x_max, segment_size=segment_size, workers=workers)

@@ -46,7 +46,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -146,29 +146,6 @@ class OmegaSegment:
     lo: int
     hi: int
     values: np.ndarray
-
-
-def clip_segments(
-    source: Iterable[OmegaSegment], x_max: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, values) covering exactly 1..x_max from any segment source.
-
-    The source must start at 1 and be contiguous; the segment that crosses
-    x_max is clipped and nothing after it is read.  Raises ValueError if the
-    source skips ahead or ends before x_max.
-    """
-    expected_lo = 1
-    for segment in source:
-        if segment.lo != expected_lo:
-            raise ValueError(
-                f"omega source skipped to {segment.lo}, expected {expected_lo}"
-            )
-        hi = min(segment.hi, x_max + 1)
-        yield segment.lo, segment.values[: hi - segment.lo]
-        expected_lo = hi
-        if hi > x_max:
-            return
-    raise ValueError(f"omega source ended at {expected_lo - 1}, need {x_max}")
 
 
 def primes_up_to(limit: int) -> PrimeTable:
@@ -467,11 +444,13 @@ def iter_segments(
     With workers > 1 the blocks are computed in a process pool, each worker
     with its own prime table, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
-    segment_size may be at most MAX_SEGMENT_SIZE and workers at most
-    MAX_WORKERS.
+    x_max must be below 2**64, the bound of omega_block, segment_size at
+    most MAX_SEGMENT_SIZE and workers at most MAX_WORKERS.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
+    if x_max >= 1 << 64:
+        raise ValueError(f"x_max must be below 2**64, got {x_max}")
     if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
         raise ValueError(
             f"segment_size must be in 1..{MAX_SEGMENT_SIZE}, got {segment_size}"

@@ -108,9 +108,10 @@ def test_error_growth_fits_present(capsys):
 def test_error_growth_m1_has_no_fittable_signal(capsys):
     # Every residual is identically zero for m = 1: the fit must refuse
     # rather than fabricate an exponent.
-    code, _, err = run_cli(capsys, "error-growth", "--m", "1", "--x-max", "10000")
+    code, out, err = run_cli(capsys, "error-growth", "--m", "1", "--x-max", "10000")
     assert code == 1
-    assert "checkpoint" in err
+    assert out == ""
+    assert err == "omegadist: need at least 5 nonzero checkpoints, have 0\n"
 
 
 def test_dirichlet_check_passes_at_defaults(capsys):
@@ -252,6 +253,41 @@ def test_race_all_pairs_json(capsys):
         assert row["sign_changes"] == len(row["events"])
 
 
+_TOO_HIGH = str(2**64)
+_TOO_HIGH_MESSAGE = f"x_max must be below 2**64, got {_TOO_HIGH}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["race", "--m", "3", "--x-max", _TOO_HIGH], _TOO_HIGH_MESSAGE),
+        (["density", "--m", "3", "--x-max", _TOO_HIGH, "--workers", "2"], _TOO_HIGH_MESSAGE),
+        (["error-growth", "--m", "3", "--x-max", _TOO_HIGH], _TOO_HIGH_MESSAGE),
+        (["density", "--m", "0", "--x-max", "100"], "modulus must be >= 1, got 0"),
+        (["dirichlet-check", "--m", "2", "--n-max", "0"], "n-max must be >= 1, got 0"),
+        (["dirichlet-check", "--m", "2", "--p-max", "1"], "p-max must be >= 2, got 1"),
+        (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
+    ],
+    ids=[
+        "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
+        "density-m0", "dirichlet-n-max", "dirichlet-p-max", "selftest-x-limit",
+    ],
+)
+def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, message):
+    # A regression would sieve a table to 2^32 (4 GiB) or start a pool;
+    # here it fails the test instead.
+    def never(*args, **kwargs):
+        pytest.fail("a prime table was built or a process pool started")
+
+    monkeypatch.setattr(sieve, "primes_up_to", never)
+    monkeypatch.setattr(cli, "primes_up_to", never)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"omegadist: {message}\n"
+
+
 def test_race_rejects_half_a_pair(capsys):
     code, _, err = run_cli(capsys, "race", "--m", "3", "--j", "1", "--x-max", "100")
     assert code == 2
@@ -387,7 +423,7 @@ def test_no_command_prints_usage(capsys):
     assert "usage" in err
 
 
-def test_selftest_green_and_fault_injected(capsys):
+def test_selftest_green_and_fault_injected(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--x-limit", "2000")
     assert code == 0
     assert all(r["passed"] == "true" for r in parse_csv(out))
@@ -399,6 +435,17 @@ def test_selftest_green_and_fault_injected(capsys):
     rows = parse_csv(out)
     failed = [r for r in rows if r["passed"] == "false"]
     assert failed and failed[0]["name"] == "sieve-oracle-small"
+
+    # A check that raises is a failed row, not a crashed selftest.
+    def broken(s, n_max):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(cli, "check_lquo", broken)
+    code, out, _ = run_cli(capsys, "selftest", "--x-limit", "2000")
+    assert code == 1
+    failed = [r for r in parse_csv(out) if r["passed"] == "false"]
+    assert [r["name"] for r in failed] == ["lambda-quotient"]
+    assert failed[0]["detail"].startswith("raised RuntimeError")
 
 
 def test_run_selftest_structure():

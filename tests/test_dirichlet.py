@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from omegadist import dirichlet
 from omegadist.dirichlet import (
     check_g_product,
     check_identity_product,
@@ -90,10 +91,12 @@ def test_truncated_L_liouville_toward_quotient():
     assert abs(value - math.pi**2 / 15) < 1e-5
 
 
-def test_truncated_L_accepts_custom_source():
-    segments = list(iter_segments(1000, segment_size=128))
-    a = truncated_L(3, 1, 2.0, 1000, omega_source=segments)
+def test_truncated_L_accepts_custom_source(monkeypatch):
     b = truncated_L(3, 1, 2.0, 1000)
+    monkeypatch.setattr(
+        dirichlet, "iter_segments", lambda n_max: iter_segments(n_max, segment_size=128)
+    )
+    a = truncated_L(3, 1, 2.0, 1000)
     assert abs(a.value - b.value) < 1e-15
 
 
@@ -104,6 +107,19 @@ def test_truncated_L_validates_domain():
         truncated_L(2, 1, float("nan"), 100)
     with pytest.raises(ValueError):
         truncated_L(2, 2, 2.0, 100)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        truncated_L(3, 1, 2.0, 0)
+
+
+def test_euler_L_validates():
+    with pytest.raises(ValueError, match="p_max must be >= 2"):
+        euler_L(3, 1, 2.0, 1)
+    with pytest.raises(ValueError, match="prime table covers 100 but p_max = 1000"):
+        euler_L(3, 1, 2.0, 1000, table=primes_up_to(100))
+    with pytest.raises(ValueError, match="Re s > 1"):
+        euler_L(3, 1, 1.0, 100)
+    with pytest.raises(ValueError, match="need 0 <= k < m"):
+        euler_L(3, 3, 2.0, 100)
 
 
 def test_euler_L_single_prime():
@@ -195,6 +211,11 @@ def test_check_g_product_m4():
 def test_check_g_product_requires_m2():
     with pytest.raises(ValueError):
         check_g_product(1, 2.0, 1000)
+
+
+def test_check_identity_product_requires_m1():
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        check_identity_product(0, 2.0, 100)
 
 
 def test_shared_prime_table_reused():

@@ -131,17 +131,9 @@ def test_all_pairs_matches_individual_scans():
 
 
 def test_custom_omega_source():
-    segments = list(iter_segments(2000, segment_size=256))
-    a = race_scan(3, 0, 1, 2000, omega_source=segments)
+    a = race_scan(3, 0, 1, 2000, segment_size=256)
     b = race_scan(3, 0, 1, 2000)
     assert a.final_delta == b.final_delta and len(a.events) == len(b.events)
-
-
-def test_empty_segment_in_source_is_harmless():
-    segments = list(iter_segments(3000, segment_size=1024))
-    empty = OmegaSegment(1025, 1025, segments[1].values[:0])
-    a = race_scan(3, 0, 2, 3000, omega_source=[segments[0], empty, *segments[1:]])
-    assert a == race_scan(3, 0, 2, 3000)
 
 
 def test_validation_errors():
@@ -171,14 +163,21 @@ def _cumsum_reference(omegas, m, j, jprime):
     return events, leads, int(path[-1])
 
 
-def _segments(omegas, segment_size):
-    """A custom omega source cutting the given values, for n = 1, 2, ...,
-    into segments of segment_size."""
+def _patch_stream(monkeypatch, omegas, segment_size):
+    """Make the race read the given values, for n = 1, 2, ..., cut into
+    segments of segment_size, in place of the sieve stream.  Every scan
+    gets a fresh iterator, so several scans may read the same walk."""
     values = np.asarray(omegas, dtype=np.uint8)
-    return [
+    segments = [
         OmegaSegment(lo + 1, min(lo + segment_size, len(values)) + 1, values[lo : lo + segment_size])
         for lo in range(0, len(values), segment_size)
     ]
+
+    def stream(x_max, **_):
+        assert x_max == len(values)
+        return iter(segments)
+
+    monkeypatch.setattr(race, "iter_segments", stream)
 
 
 def _assert_matches(summaries, omegas, m, reference):
@@ -234,17 +233,19 @@ _EDGE_WALKS = {
 
 @pytest.mark.parametrize("segment_size", [SUB_BLOCK, 4 * SUB_BLOCK, 977, 1031])
 @pytest.mark.parametrize("name", list(_EDGE_WALKS))
-def test_skip_test_edges_match_reference(name, segment_size):
+def test_skip_test_edges_match_reference(name, segment_size, monkeypatch):
     omegas = _EDGE_WALKS[name]
-    summaries = all_pairs(3, len(omegas), omega_source=_segments(omegas, segment_size))
+    _patch_stream(monkeypatch, omegas, segment_size)
+    summaries = all_pairs(3, len(omegas))
     _assert_matches(summaries, omegas.tolist(), 3, _reference_race)
 
 
-def test_edge_walk_records_the_zero_on_the_sub_block_edge():
+def test_edge_walk_records_the_zero_on_the_sub_block_edge(monkeypatch):
     # The walk is built so that the scan must see Delta = 0 at n = 2L and
     # the sign change at n = 2L + 1; pin both, not only the agreement.
     omegas = _EDGE_WALKS["equal-touches-zero-at-edge"]
-    summary = race_scan(3, 0, 1, len(omegas), omega_source=_segments(omegas, SUB_BLOCK))
+    _patch_stream(monkeypatch, omegas, SUB_BLOCK)
+    summary = race_scan(3, 0, 1, len(omegas))
     assert [(e.x, e.direction) for e in summary.events] == [
         (2 * SUB_BLOCK + 1, POSITIVE_TO_NEGATIVE),
         (3 * SUB_BLOCK + 2, NEGATIVE_TO_POSITIVE),
@@ -291,10 +292,11 @@ _ONE_SIDED_WALKS = {
 
 @pytest.mark.parametrize("segment_size", [SUB_BLOCK, 4 * SUB_BLOCK, 977, 1031])
 @pytest.mark.parametrize("m,name", list(_ONE_SIDED_WALKS))
-def test_one_sided_skip_edges_match_reference(m, name, segment_size):
+def test_one_sided_skip_edges_match_reference(m, name, segment_size, monkeypatch):
     omegas = _ONE_SIDED_WALKS[m, name]
+    _patch_stream(monkeypatch, omegas, segment_size)
     summaries = [
-        race_scan(m, j, jprime, len(omegas), omega_source=_segments(omegas, segment_size))
+        race_scan(m, j, jprime, len(omegas))
         for j, jprime in itertools.permutations(range(m), 2)
     ]
     _assert_matches(summaries, omegas.tolist(), m, _reference_race)
@@ -319,7 +321,8 @@ def test_one_above_edge_sub_blocks_skip_the_per_n_scan(monkeypatch):
     # both.
     fed = _fed_lengths(monkeypatch)
     omegas = _ONE_SIDED_WALKS[2, "one-above-edge"]
-    race_scan(2, 0, 1, len(omegas), omega_source=_segments(omegas, 4 * SUB_BLOCK))
+    _patch_stream(monkeypatch, omegas, 4 * SUB_BLOCK)
+    race_scan(2, 0, 1, len(omegas))
     assert fed == [SUB_BLOCK, SUB_BLOCK]
 
 

@@ -46,6 +46,15 @@ def test_root_table_unit_circle():
     assert abs(roots.powers[6] + 1.0) < 1e-15
 
 
+def test_constructors_validate_arguments():
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        root_table(0)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        new_tally(0)
+    with pytest.raises(ValueError, match="lo must be >= 1"):
+        new_tally(3, lo=0)
+
+
 @pytest.mark.parametrize("m,x,expected", [(3, 20, [5, 9, 6]), (2, 10, [5, 5])])
 def test_tally_known_values(m, x, expected, tally_of):
     assert tally_of(m, x).counts.tolist() == expected
@@ -209,6 +218,12 @@ def test_corrupted_sums_detected(tally_of):
     bad = CharacterSumSet(m=6, x=500, sums=sums.sums + np.array([0, 0.5, 0, 0, 0, 0]))
     with pytest.raises(InconsistentTransformError):
         counts_from_sums(bad)
+    # A real shift of S_0 moves every count by 1/6 off the integers and
+    # leaves the imaginary parts alone: the rounding check must catch it.
+    sums = sums_from_counts(tally_of(3, 500))
+    sums.sums[0] += 0.5
+    with pytest.raises(InconsistentTransformError, match="rounding residue"):
+        counts_from_sums(sums)
 
 
 def test_sums_require_anchor_at_one():

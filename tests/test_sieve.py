@@ -1,6 +1,6 @@
 """Sieve unit tests: small known values, oracle equivalence on random blocks
-and at the edges of the block sieve, segment-boundary independence,
-argument validation, and the source checks of the stream consumers."""
+and at the edges of the block sieve, segment-boundary independence and
+argument validation."""
 
 import math
 import multiprocessing
@@ -17,8 +17,6 @@ except ImportError:  # the property test is skipped, the rest still runs
     given = None
 
 from omegadist import sieve
-from omegadist.dirichlet import truncated_L
-from omegadist.race import race_scan
 from omegadist.sieve import (
     OmegaSegment,
     PrimeTable,
@@ -237,6 +235,8 @@ def test_omega_block_validates_arguments():
         omega_block(5, 5, table)
     with pytest.raises(ValueError):
         omega_block(1, 1000, table)  # table too small for isqrt(999)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        omega_block(2**64 - 4, 2**64 + 1, table)
 
 
 def test_segment_bounds_cover_exactly():
@@ -380,7 +380,7 @@ def test_cached_powers_stop_below_2_to_64():
     assert list(zip(q.tolist(), inc.tolist())) == sorted(expected)
 
 
-def test_iter_segments_validates_arguments():
+def test_iter_segments_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         list(iter_segments(0))
     with pytest.raises(ValueError):
@@ -392,27 +392,14 @@ def test_iter_segments_validates_arguments():
     with pytest.raises(ValueError, match="segment_size"):
         next(iter_segments(10, segment_size=sieve.MAX_SEGMENT_SIZE + 1))
 
+    # No block reaches past 2**64, so the stream is refused before it asks
+    # for a prime table to 2**32 (4 GiB).
+    def no_table(limit):
+        pytest.fail(f"a prime table to {limit} was built")
 
-# Both consumers of a caller-supplied Omega stream, reading 1..1000.
-STREAM_CONSUMERS = {
-    "truncated_L": lambda source: truncated_L(3, 1, 2.0, 1000, omega_source=source),
-    "race_scan": lambda source: race_scan(3, 0, 1, 1000, omega_source=source),
-}
-
-
-@pytest.mark.parametrize("consumer", list(STREAM_CONSUMERS))
-def test_consumers_reject_gapped_source(consumer):
-    segments = list(iter_segments(1000, segment_size=128))
-    del segments[1]
-    with pytest.raises(ValueError, match="skipped to 257, expected 129"):
-        STREAM_CONSUMERS[consumer](segments)
-
-
-@pytest.mark.parametrize("consumer", list(STREAM_CONSUMERS))
-def test_consumers_reject_short_source(consumer):
-    segments = list(iter_segments(500, segment_size=128))
-    with pytest.raises(ValueError, match="ended at 500, need 1000"):
-        STREAM_CONSUMERS[consumer](segments)
+    monkeypatch.setattr(sieve, "primes_up_to", no_table)
+    with pytest.raises(ValueError, match="x_max must be below 2\\*\\*64"):
+        next(iter_segments(2**64))
 
 
 def test_trial_division_oracle_matches_omega_single():
