@@ -275,6 +275,8 @@ def cmd_dirichlet_check(args) -> int:
         raise ValueError(f"s must be finite, got {args.s}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
+    if args.n_max >= 1 << 64:
+        raise ValueError(f"n-max must be below 2**64, got {args.n_max}")
     if args.p_max < 2:
         raise ValueError(f"p-max must be >= 2, got {args.p_max}")
     if not args.tolerance > 0:

@@ -85,6 +85,8 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
     _require_finite(s)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max >= 1 << 64:
+        raise ValueError(f"n_max must be below 2**64, got {n_max}")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     weights = root_table(m).powers[(residue_lut(m) * k) % m]

@@ -6,6 +6,11 @@ over a range.  The character sums S_k(x) = sum_{n<=x} zeta_m^(k*Omega(n)) are
 never accumulated per n in floating point: they are always derived from the
 integer tally through the finite Fourier transform, and the inverse transform
 recovers the tally bit for bit (up to the documented rounding tolerance).
+
+Counts come from 64-bin histograms of the 8-bit Omega values, folded into
+each modulus through a residue lookup.  tally_segment folds the segment's
+own cached histogram, so a segment tallied for many moduli is read once;
+its values must not change after its first tally.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 # iter_segments is not called here, but perfbench/spans.py patches
 # residues.iter_segments when it traces a run, so the name stays bound.
-from .sieve import OmegaSegment, iter_segments  # noqa: F401
+from .sieve import OmegaSegment, iter_segments, omega_histogram  # noqa: F401
 
 #: Inverse-transform results farther than this from integers (or from the
 #: real axis) indicate corrupted input and raise InconsistentTransformError.
@@ -60,30 +65,22 @@ def residue_lut(m: int) -> np.ndarray:
     return np.arange(64, dtype=np.intp) % m
 
 
+def _fold_histogram(hist: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
+    """Add a 64-bin Omega histogram into each array of class_counts, in
+    place, modulo that array's length: ~64 adds per modulus."""
+    for counts in class_counts:
+        np.add.at(counts, residue_lut(len(counts)), hist)
+
+
 def fold_counts(values: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
     """Add the residue-class counts of a slice of uint8 Omega values into
     each array of class_counts, in place, modulo that array's length.
 
-    One 64-bin histogram of the slice serves every modulus, so the cost per
-    extra modulus is ~64 adds, not another pass over the values.  The
-    histogram reads the values in pairs: each uint16 holds two values below
-    64, so a 2^14-bin bincount over half as many elements counts both, and
-    summing the (64, 256) table along each axis gives the count of each
-    byte whatever the byte order.
+    One 64-bin histogram of the slice (sieve.omega_histogram) serves every
+    modulus, so the cost per extra modulus is ~64 adds, not another pass
+    over the values.
     """
-    if values.dtype != np.uint8:
-        raise TypeError(f"need uint8 Omega values, got {values.dtype}")
-    even = len(values) - len(values) % 2
-    pair_counts = np.bincount(values[:even].view(np.uint16), minlength=1 << 14)
-    table = pair_counts[: 1 << 14].reshape(64, 256)
-    hist = table.sum(axis=0)
-    hist[:64] += table.sum(axis=1)
-    if even < len(values):
-        hist[values[-1]] += 1
-    if len(pair_counts) > 1 << 14 or hist[64:].any():
-        raise ValueError("Omega values must be below 64")
-    for counts in class_counts:
-        np.add.at(counts, residue_lut(len(counts)), hist[:64])
+    _fold_histogram(omega_histogram(values), class_counts)
 
 
 @dataclass
@@ -114,15 +111,16 @@ def new_tally(m: int, lo: int = 1) -> ResidueTally:
 def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
     """Fold one sieve segment into the tally, in place.
 
-    Segments must arrive contiguously: segment.lo == tally.x + 1.  Residues
-    are taken from the 8-bit Omega values through a 64-entry lookup, never by
-    per-n division.
+    Segments must arrive contiguously: segment.lo == tally.x + 1.  The
+    segment's cached histogram is folded through a 64-entry residue lookup,
+    never by per-n division, so tallying one segment for k moduli costs one
+    pass over its values and k folds of 64 adds.
     """
     if segment.lo != tally.x + 1:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"
         )
-    fold_counts(segment.values, [tally.counts])
+    _fold_histogram(segment.histogram, [tally.counts])
     tally.x = segment.hi - 1
     return tally
 

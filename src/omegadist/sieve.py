@@ -36,6 +36,10 @@ numpy.
 
 A pooled stream sends each worker's block back through one shared buffer
 of (workers + 2) block slots, not as a pickled array through a pipe.
+
+Each OmegaSegment also carries a 64-bin histogram of its values, counted
+on first use and cached, which every residue tally of the segment folds;
+a segment's values must therefore not change after it is first tallied.
 """
 
 from __future__ import annotations
@@ -141,11 +145,46 @@ class OmegaSegment:
 
     The range is [lo, hi), half-open.  uint8 storage is safe because
     Omega(n) <= log2(n) < 64 for any n below 2**64.
+
+    `histogram` counts the values once, when it is first read, and every
+    later tally of the segment, for any modulus, reuses it.  So the values
+    must not change after the segment is first tallied; they are left
+    writable for code that edits a block before anything reads it.
     """
 
     lo: int
     hi: int
     values: np.ndarray
+
+    @functools.cached_property
+    def histogram(self) -> np.ndarray:
+        """hist[w] = #{i : values[i] == w} for w < 64, read-only."""
+        hist = omega_histogram(self.values)
+        hist.flags.writeable = False
+        return hist
+
+
+def omega_histogram(values: np.ndarray) -> np.ndarray:
+    """The 64-bin histogram of uint8 Omega values: hist[w] counts the w.
+
+    The values are read in pairs: each uint16 holds two values below 64, so
+    a 2^14-bin bincount over half as many elements counts both, and summing
+    the (64, 256) table along each axis gives the count of each byte
+    whatever the byte order.  Raises TypeError for values that are not
+    uint8 and ValueError for a value of 64 or more.
+    """
+    if values.dtype != np.uint8:
+        raise TypeError(f"need uint8 Omega values, got {values.dtype}")
+    even = len(values) - len(values) % 2
+    pair_counts = np.bincount(values[:even].view(np.uint16), minlength=1 << 14)
+    table = pair_counts[: 1 << 14].reshape(64, 256)
+    hist = table.sum(axis=0)
+    hist[:64] += table.sum(axis=1)
+    if even < len(values):
+        hist[values[-1]] += 1
+    if len(pair_counts) > 1 << 14 or hist[64:].any():
+        raise ValueError("Omega values must be below 64")
+    return hist[:64]
 
 
 def primes_up_to(limit: int) -> PrimeTable:

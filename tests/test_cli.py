@@ -265,12 +265,17 @@ _TOO_HIGH_MESSAGE = f"x_max must be below 2**64, got {_TOO_HIGH}"
         (["error-growth", "--m", "3", "--x-max", _TOO_HIGH], _TOO_HIGH_MESSAGE),
         (["density", "--m", "0", "--x-max", "100"], "modulus must be >= 1, got 0"),
         (["dirichlet-check", "--m", "2", "--n-max", "0"], "n-max must be >= 1, got 0"),
+        (
+            ["dirichlet-check", "--m", "2", "--n-max", _TOO_HIGH],
+            f"n-max must be below 2**64, got {_TOO_HIGH}",
+        ),
         (["dirichlet-check", "--m", "2", "--p-max", "1"], "p-max must be >= 2, got 1"),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
     ],
     ids=[
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
-        "density-m0", "dirichlet-n-max", "dirichlet-p-max", "selftest-x-limit",
+        "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
+        "selftest-x-limit",
     ],
 )
 def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, message):

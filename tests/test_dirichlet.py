@@ -109,6 +109,8 @@ def test_truncated_L_validates_domain():
         truncated_L(2, 2, 2.0, 100)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         truncated_L(3, 1, 2.0, 0)
+    with pytest.raises(ValueError, match=r"n_max must be below 2\*\*64"):
+        truncated_L(3, 1, 2.0, 2**64)
 
 
 def test_euler_L_validates():

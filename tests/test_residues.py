@@ -1,7 +1,8 @@
 """Tally and transform tests: brute-force oracles at small x, the
-histogram fold against a plain bincount, windows (tallies with lo > 1)
-that add up to the full tally, exactness of the forward/inverse pair, and
-corruption detection."""
+histogram fold against a plain bincount, one cached histogram per segment
+shared by every modulus, windows (tallies with lo > 1) that add up to the
+full tally, exactness of the forward/inverse pair, and corruption
+detection."""
 
 import math
 import random
@@ -15,6 +16,7 @@ try:
 except ImportError:  # the property test is skipped, the rest still runs
     given = None
 
+from omegadist import sieve
 from omegadist.residues import (
     CharacterSumSet,
     InconsistentTransformError,
@@ -27,7 +29,14 @@ from omegadist.residues import (
     sums_from_counts,
     tally_segment,
 )
-from omegadist.sieve import omega_block, omega_single, primes_up_to
+from omegadist.sieve import (
+    OmegaSegment,
+    iter_segments,
+    omega_block,
+    omega_histogram,
+    omega_single,
+    primes_up_to,
+)
 
 
 def brute_counts(m, x):
@@ -129,6 +138,50 @@ def test_fold_counts_refuses_other_dtypes(dtype):
 def test_fold_counts_refuses_values_from_64(values):
     with pytest.raises(ValueError, match="below 64"):
         fold_counts(np.array(values, dtype=np.uint8), [np.zeros(3, dtype=np.int64)])
+
+
+def test_tally_segment_histograms_a_segment_once(monkeypatch):
+    """Tallying one segment for m = 1..12 counts its values once and gives
+    each modulus what fold_counts gives it."""
+    segment = omega_block(1, 5001, primes_up_to(71))
+    expected = [np.zeros(m, dtype=np.int64) for m in range(1, 13)]
+    fold_counts(segment.values, expected)
+    calls = []
+
+    def counting_histogram(values):
+        calls.append(len(values))
+        return omega_histogram(values)
+
+    monkeypatch.setattr(sieve, "omega_histogram", counting_histogram)
+    for m, want in zip(range(1, 13), expected):
+        assert tally_segment(new_tally(m), segment).counts.tolist() == want.tolist()
+    assert calls == [5000]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_tally_segment_refuses_other_dtypes(dtype):
+    segment = OmegaSegment(lo=1, hi=11, values=np.arange(10, dtype=dtype))
+    with pytest.raises(TypeError, match="uint8"):
+        tally_segment(new_tally(3), segment)
+
+
+def test_tally_segment_refuses_values_from_64():
+    segment = OmegaSegment(lo=1, hi=4, values=np.array([1, 64, 2], dtype=np.uint8))
+    tally = new_tally(3)
+    with pytest.raises(ValueError, match="below 64"):
+        tally_segment(tally, segment)
+    assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
+
+
+def test_pooled_segments_tally_like_serial_ones():
+    serial = list(iter_segments(20_000, segment_size=4096))
+    pooled = list(iter_segments(20_000, segment_size=4096, workers=2))
+    for m in (2, 3, 12):
+        a, b = new_tally(m), new_tally(m)
+        for x, y in zip(serial, pooled):
+            tally_segment(a, x)
+            tally_segment(b, y)
+            assert a.counts.tolist() == b.counts.tolist() and a.x == b.x
 
 
 def test_merge_of_adjacent_ranges():

@@ -412,6 +412,32 @@ def test_trial_division_oracle_matches_omega_single():
     assert _omega_trial_division(high).tolist() == [omega_single(int(n)) for n in high]
 
 
+if given is not None:
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 63), min_size=1, max_size=300),
+        start=st.integers(0, 1),
+    )
+    def test_segment_histogram_matches_bincount(values, start):
+        """Odd and even lengths down to 1, from an odd byte offset too: the
+        cached histogram is the plain 64-bin bincount, read-only, and is
+        counted once."""
+        base = np.array(values, dtype=np.uint8)
+        piece = base[min(start, len(base) - 1) :]
+        segment = OmegaSegment(lo=1, hi=len(piece) + 1, values=piece)
+        hist = segment.histogram
+        assert hist.tolist() == np.bincount(piece, minlength=64).tolist()
+        assert not hist.flags.writeable
+        assert segment.histogram is hist
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_segment_histogram_matches_bincount():
+        pass
+
+
 def test_uint8_headroom():
     # Largest Omega below 2^20 is 20 (n = 2^20); far below the uint8 ceiling.
     values = omega_block(1, 2**20 + 1, primes_up_to(1024)).values
