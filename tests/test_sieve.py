@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # the property test is skipped, the rest still runs
     given = None
@@ -419,6 +419,9 @@ if given is not None:
         values=st.lists(st.integers(0, 63), min_size=1, max_size=300),
         start=st.integers(0, 1),
     )
+    @example(values=[63], start=0)
+    @example(values=[0, 63], start=0)
+    @example(values=[0, 63, 7], start=1)
     def test_segment_histogram_matches_bincount(values, start):
         """Odd and even lengths down to 1, from an odd byte offset too: the
         cached histogram is the plain 64-bin bincount, read-only, and is
