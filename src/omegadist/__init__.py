@@ -45,7 +45,6 @@ from .residues import (
     CharacterSumSet,
     InconsistentTransformError,
     ResidueTally,
-    RootTable,
     counts_from_sums,
     inverse_residuals,
     new_tally,
@@ -82,7 +81,6 @@ __all__ = [
     "RaceEvent",
     "RaceSummary",
     "ResidueTally",
-    "RootTable",
     "all_pairs",
     "character_growth_exponent",
     "check_g_product",

@@ -140,8 +140,6 @@ def _check_stream_flags(args) -> None:
         raise ValueError(
             f"segment-size must be in 1024..{MAX_SEGMENT_SIZE}, got {args.segment_size}"
         )
-    if not 1 <= args.workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {args.workers}")
 
 
 # ---------------------------------------------------------------- commands

@@ -89,7 +89,7 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
         raise ValueError(f"n_max must be below 2**64, got {n_max}")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    weights = root_table(m).powers[(residue_lut(m) * k) % m]
+    weights = root_table(m)[(residue_lut(m) * k) % m]
     total = 0j
     for segment in iter_segments(n_max):
         n = np.arange(segment.lo, segment.hi, dtype=np.float64)
@@ -114,7 +114,7 @@ def _euler_product(
 ) -> DirichletEvaluation:
     """Multiply factor(zeta_m^k, p^(-s)) over the primes p <= p_max, in
     ascending prime order so the rounding is reproducible."""
-    w = complex(root_table(m).powers[k])
+    w = complex(root_table(m)[k])
     value = 1.0 + 0j
     for term in factor(w, _primes_below(p_max, table) ** (-s)):
         value *= complex(term)

@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import ResidueTally, fold_counts, root_table
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments
+from .residues import ResidueTally, new_tally, root_table, tally_segment
+from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, iter_segments
 
 #: Four checkpoints per decade.
 DEFAULT_RATIO = 10.0 ** 0.25
@@ -121,31 +121,35 @@ def record_many(
 ) -> dict[int, CheckpointSeries]:
     """Record checkpoint series for several moduli in one sieve pass.
 
-    The sieve is the expensive part; folding its 8-bit histogram into any
-    number of moduli costs ~64 adds per modulus per checkpoint slice.
+    Each modulus keeps one ResidueTally, fed by tally_segment.  A segment
+    with checkpoints inside it is cut at them into pieces that end on a
+    checkpoint; a checkpoint is taken of every tally at the end of its
+    piece.  Each piece is histogrammed once for all the moduli, so an extra
+    modulus costs ~64 adds per piece, not another pass over the values.
     """
-    moduli = list(dict.fromkeys(moduli))
-    if not moduli:
+    tallies = {m: new_tally(m) for m in dict.fromkeys(moduli)}
+    if not tallies:
         raise ValueError("need at least one modulus")
-    for m in moduli:
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
     schedule = checkpoint_schedule(x_max, ratio)
-    counts = {m: np.zeros(m, dtype=np.int64) for m in moduli}
-    series = {m: CheckpointSeries(m=m) for m in moduli}
+    series = {m: CheckpointSeries(m=m) for m in tallies}
 
+    # x_max is the last checkpoint, so one is always due at or after lo.
     next_cp = 0
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        start = 0
-        while next_cp < len(schedule) and schedule[next_cp] < segment.hi:
+        base = lo = segment.lo
+        while lo < segment.hi:
             x = schedule[next_cp]
-            fold_counts(segment.values[start : x - segment.lo + 1], counts.values())
-            start = x - segment.lo + 1
-            for m in moduli:
-                tally = ResidueTally(m=m, x=x, counts=counts[m].copy())
-                series[m].checkpoints.append(checkpoint(tally))
-            next_cp += 1
-        fold_counts(segment.values[start:], counts.values())
+            hi = min(x + 1, segment.hi)
+            piece = segment
+            if (lo, hi) != (segment.lo, segment.hi):
+                piece = OmegaSegment(lo, hi, segment.values[lo - base : hi - base])
+            for tally in tallies.values():
+                tally_segment(tally, piece)
+            if hi == x + 1:
+                for m, tally in tallies.items():
+                    series[m].checkpoints.append(checkpoint(tally))
+                next_cp += 1
+            lo = hi
     return series
 
 
@@ -188,6 +192,6 @@ def character_growth_exponent(series: CheckpointSeries, k: int) -> GrowthFit:
     m = series.m
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
-    weights = root_table(m).powers[(np.arange(m) * k) % m]
+    weights = root_table(m)[(np.arange(m) * k) % m]
     magnitudes = [abs(complex(np.sum(weights * cp.counts()))) for cp in series.checkpoints]
     return _fit_loglog(series, magnitudes, k)

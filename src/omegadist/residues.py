@@ -7,22 +7,21 @@ never accumulated per n in floating point: they are always derived from the
 integer tally through the finite Fourier transform, and the inverse transform
 recovers the tally bit for bit (up to the documented rounding tolerance).
 
-Counts come from 64-bin histograms of the 8-bit Omega values, folded into
-each modulus through a residue lookup.  tally_segment folds the segment's
-own cached histogram, so a segment tallied for many moduli is read once;
-its values must not change after its first tally.
+Every count, the checkpointed error terms' included, comes from
+tally_segment, which folds a segment's cached 64-bin Omega histogram into
+the classes through a residue lookup: a segment tallied for many moduli is
+read once, and its values must not change after its first tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 # iter_segments is not called here, but perfbench/spans.py patches
 # residues.iter_segments when it traces a run, so the name stays bound.
-from .sieve import OmegaSegment, iter_segments, omega_histogram  # noqa: F401
+from .sieve import OmegaSegment, iter_segments  # noqa: F401
 
 #: Inverse-transform results farther than this from integers (or from the
 #: real axis) indicate corrupted input and raise InconsistentTransformError.
@@ -34,16 +33,8 @@ class InconsistentTransformError(ArithmeticError):
     forward transform of any genuine tally, or were corrupted in transit."""
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """Precomputed m-th roots of unity: powers[r] = exp(2*pi*i*r/m)."""
-
-    m: int
-    powers: np.ndarray
-
-
-def root_table(m: int) -> RootTable:
-    """Build the m-th root table; powers[0] is exactly 1."""
+def root_table(m: int) -> np.ndarray:
+    """powers[r] = exp(2*pi*i*r/m), the m-th roots of unity; powers[0] is 1."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -57,30 +48,12 @@ def root_table(m: int) -> RootTable:
     if m % 4 == 0:
         powers[m // 4] = 1.0j
         powers[3 * m // 4] = -1.0j
-    return RootTable(m=m, powers=powers)
+    return powers
 
 
 def residue_lut(m: int) -> np.ndarray:
     """lut[w] = w mod m for every 8-bit Omega value w (Omega(n) < 64)."""
     return np.arange(64, dtype=np.intp) % m
-
-
-def _fold_histogram(hist: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
-    """Add a 64-bin Omega histogram into each array of class_counts, in
-    place, modulo that array's length: ~64 adds per modulus."""
-    for counts in class_counts:
-        np.add.at(counts, residue_lut(len(counts)), hist)
-
-
-def fold_counts(values: np.ndarray, class_counts: Iterable[np.ndarray]) -> None:
-    """Add the residue-class counts of a slice of uint8 Omega values into
-    each array of class_counts, in place, modulo that array's length.
-
-    One 64-bin histogram of the slice (sieve.omega_histogram) serves every
-    modulus, so the cost per extra modulus is ~64 adds, not another pass
-    over the values.
-    """
-    _fold_histogram(omega_histogram(values), class_counts)
 
 
 @dataclass
@@ -120,7 +93,7 @@ def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"
         )
-    _fold_histogram(segment.histogram, [tally.counts])
+    np.add.at(tally.counts, residue_lut(tally.m), segment.histogram)
     tally.x = segment.hi - 1
     return tally
 
@@ -144,14 +117,14 @@ def sums_from_counts(tally: ResidueTally) -> CharacterSumSet:
         raise ValueError("character sums are defined for tallies anchored at 1")
     m = tally.m
     jk = np.outer(np.arange(m), np.arange(m)) % m
-    sums = root_table(m).powers[jk] @ tally.counts.astype(np.complex128)
+    sums = root_table(m)[jk] @ tally.counts.astype(np.complex128)
     return CharacterSumSet(m=m, x=tally.x, sums=sums)
 
 
 def _inverse_raw(sums: CharacterSumSet) -> np.ndarray:
     m = sums.m
     jk = (-np.outer(np.arange(m), np.arange(m))) % m
-    return root_table(m).powers[jk] @ sums.sums / m
+    return root_table(m)[jk] @ sums.sums / m
 
 
 def inverse_residuals(sums: CharacterSumSet) -> tuple[float, float]:

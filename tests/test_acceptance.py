@@ -334,7 +334,7 @@ def test_c05_hall_constants_closed_forms():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_c06_envelope_constant(series_all, table_big, m):
-    weights = root_table(m).powers[np.arange(m) % m]  # k = 1
+    weights = root_table(m)[np.arange(m) % m]  # k = 1
     constants = []
     normalized = {}
     for cp in series_all[m].checkpoints:

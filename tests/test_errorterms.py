@@ -1,9 +1,13 @@
 """Checkpoint and growth-fit tests: exact residual snapshots, the zero-sum
-identity, schedule arithmetic and synthetic fits with known slopes."""
+identity, schedule arithmetic, checkpoints that cut segments, and synthetic
+fits with known slopes."""
+
+import math
 
 import numpy as np
 import pytest
 
+from omegadist import sieve
 from omegadist.errorterms import (
     DEFAULT_RATIO,
     MAX_CHECKPOINTS,
@@ -16,7 +20,8 @@ from omegadist.errorterms import (
     growth_exponent,
     record_many,
 )
-from omegadist.residues import ResidueTally, new_tally
+from omegadist.residues import ResidueTally, new_tally, tally_segment
+from omegadist.sieve import omega_block, omega_histogram, primes_up_to, segment_bounds
 
 
 def test_checkpoint_known_example(tally_of):
@@ -114,6 +119,41 @@ def test_record_many_single_pass_consistency():
         assert [c.x for c in bundle[m].checkpoints] == [c.x for c in solo.checkpoints]
         for ca, cb in zip(bundle[m].checkpoints, solo.checkpoints):
             assert np.array_equal(ca.scaled_residuals, cb.scaled_residuals)
+
+
+@pytest.mark.parametrize("x_max", [10, 11, 100, 5000])
+@pytest.mark.parametrize("segment_size", [1, 2, 9, 10, 11, 17, 1031])
+def test_record_many_cuts_segments_at_checkpoints(segment_size, x_max):
+    """Checkpoints on a segment's last integer, on its first, several in one
+    segment and x_max inside a segment: each checkpoint's counts are those
+    of a fresh one-block tally of 1..x."""
+    moduli = [1, 2, 3, 12]
+    series = record_many(moduli, x_max, segment_size=segment_size)
+    table = primes_up_to(max(2, math.isqrt(x_max)))
+    for m in moduli:
+        xs = [cp.x for cp in series[m].checkpoints]
+        assert xs == checkpoint_schedule(x_max)
+        for cp in series[m].checkpoints:
+            fresh = tally_segment(new_tally(m), omega_block(1, cp.x + 1, table))
+            assert cp.counts().tolist() == fresh.counts.tolist()
+
+
+def test_record_many_histograms_each_piece_once(monkeypatch):
+    """Twelve moduli share one histogram per piece: a piece ends at each
+    checkpoint and at each segment's end."""
+    x_max, segment_size = 5000, 1031
+    calls = []
+
+    def counting_histogram(values):
+        calls.append(len(values))
+        return omega_histogram(values)
+
+    monkeypatch.setattr(sieve, "omega_histogram", counting_histogram)
+    record_many(range(1, 13), x_max, segment_size=segment_size)
+    ends = {x + 1 for x in checkpoint_schedule(x_max)}
+    ends |= {hi for _, hi in segment_bounds(x_max, segment_size)}
+    assert len(calls) == len(ends)
+    assert sum(calls) == x_max
 
 
 def test_record_many_validates():

@@ -22,7 +22,6 @@ from omegadist.residues import (
     InconsistentTransformError,
     ResidueTally,
     counts_from_sums,
-    fold_counts,
     inverse_residuals,
     new_tally,
     root_table,
@@ -48,11 +47,11 @@ def brute_counts(m, x):
 
 def test_root_table_unit_circle():
     roots = root_table(12)
-    assert roots.powers[0] == 1.0 + 0.0j
-    assert np.allclose(np.abs(roots.powers), 1.0, atol=1e-15)
+    assert roots[0] == 1.0 + 0.0j
+    assert np.allclose(np.abs(roots), 1.0, atol=1e-15)
     # 12th roots include i at r = 3 and -1 at r = 6
-    assert abs(roots.powers[3] - 1j) < 1e-15
-    assert abs(roots.powers[6] + 1.0) < 1e-15
+    assert abs(roots[3] - 1j) < 1e-15
+    assert abs(roots[6] + 1.0) < 1e-15
 
 
 def test_constructors_validate_arguments():
@@ -103,14 +102,18 @@ if given is not None:
         moduli=st.lists(st.integers(1, 13), min_size=1, max_size=4),
     )
     def test_fold_counts_matches_bincount(values, start, stop, moduli):
-        """Odd and even lengths, odd start offsets and empty slices: every
-        modulus gets the plain 64-bin bincount of the slice, folded."""
+        """tally_segment on a bare segment, with odd and even lengths, odd
+        start offsets into the values, empty slices and prefilled counts:
+        every modulus gets the plain bincount of the slice, folded."""
         base = np.array(values, dtype=np.uint8)
         piece = base[start : max(start, len(base) - stop)]
-        counts = [np.full(m, 7, dtype=np.int64) for m in moduli]
-        fold_counts(piece, counts)
-        for m, got in zip(moduli, counts):
-            assert got.tolist() == (7 + plain_fold(piece, m)).tolist()
+        segment = OmegaSegment(start + 1, start + 1 + len(piece), piece)
+        for m in moduli:
+            tally = new_tally(m, start + 1)
+            tally.counts[:] = 7
+            tally_segment(tally, segment)
+            assert tally.x == start + len(piece)
+            assert tally.counts.tolist() == (7 + plain_fold(piece, m)).tolist()
 
 else:
 
@@ -121,31 +124,18 @@ else:
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 2**20 + 1])
 def test_fold_counts_every_value_up_to_63(length):
+    """tally_segment folds every Omega value 0..63 into its class."""
     values = (np.arange(length) * 37 % 64).astype(np.uint8)
-    counts = [np.zeros(64, dtype=np.int64), np.zeros(5, dtype=np.int64)]
-    fold_counts(values, counts)
-    assert counts[0].tolist() == plain_fold(values, 64).tolist()
-    assert counts[1].tolist() == plain_fold(values, 5).tolist()
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
-def test_fold_counts_refuses_other_dtypes(dtype):
-    with pytest.raises(TypeError, match="uint8"):
-        fold_counts(np.arange(10, dtype=dtype), [np.zeros(3, dtype=np.int64)])
-
-
-@pytest.mark.parametrize("values", [[64], [1, 64], [64, 1], [1, 2, 200]])
-def test_fold_counts_refuses_values_from_64(values):
-    with pytest.raises(ValueError, match="below 64"):
-        fold_counts(np.array(values, dtype=np.uint8), [np.zeros(3, dtype=np.int64)])
+    segment = OmegaSegment(1, length + 1, values)
+    for m in (64, 5):
+        tally = tally_segment(new_tally(m), segment)
+        assert tally.counts.tolist() == plain_fold(values, m).tolist()
 
 
 def test_tally_segment_histograms_a_segment_once(monkeypatch):
     """Tallying one segment for m = 1..12 counts its values once and gives
-    each modulus what fold_counts gives it."""
+    each modulus the plain bincount of its values, folded."""
     segment = omega_block(1, 5001, primes_up_to(71))
-    expected = [np.zeros(m, dtype=np.int64) for m in range(1, 13)]
-    fold_counts(segment.values, expected)
     calls = []
 
     def counting_histogram(values):
@@ -153,12 +143,13 @@ def test_tally_segment_histograms_a_segment_once(monkeypatch):
         return omega_histogram(values)
 
     monkeypatch.setattr(sieve, "omega_histogram", counting_histogram)
-    for m, want in zip(range(1, 13), expected):
-        assert tally_segment(new_tally(m), segment).counts.tolist() == want.tolist()
+    for m in range(1, 13):
+        got = tally_segment(new_tally(m), segment).counts
+        assert got.tolist() == plain_fold(segment.values, m).tolist()
     assert calls == [5000]
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
 def test_tally_segment_refuses_other_dtypes(dtype):
     segment = OmegaSegment(lo=1, hi=11, values=np.arange(10, dtype=dtype))
     with pytest.raises(TypeError, match="uint8"):
@@ -166,11 +157,13 @@ def test_tally_segment_refuses_other_dtypes(dtype):
 
 
 def test_tally_segment_refuses_values_from_64():
-    segment = OmegaSegment(lo=1, hi=4, values=np.array([1, 64, 2], dtype=np.uint8))
-    tally = new_tally(3)
-    with pytest.raises(ValueError, match="below 64"):
-        tally_segment(tally, segment)
-    assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
+    for values in ([1, 64, 2], [64], [1, 64], [64, 1], [1, 2, 200]):
+        values = np.array(values, dtype=np.uint8)
+        segment = OmegaSegment(lo=1, hi=len(values) + 1, values=values)
+        tally = new_tally(3)
+        with pytest.raises(ValueError, match="below 64"):
+            tally_segment(tally, segment)
+        assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
 
 
 def test_pooled_segments_tally_like_serial_ones():
@@ -235,7 +228,7 @@ def test_sums_match_direct_accumulation(tally_of):
     roots = root_table(m)
     sums = sums_from_counts(tally_of(m, x))
     for k in range(m):
-        direct = sum(roots.powers[(k * int(v)) % m] for v in values)
+        direct = sum(roots[(k * int(v)) % m] for v in values)
         assert abs(sums.sums[k] - direct) < 1e-9
 
 
