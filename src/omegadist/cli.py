@@ -8,8 +8,9 @@ regardless of --workers.
 
 Exit codes: 0 success, 1 tolerance or self-check failure, or too few
 nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
-error (including a NaN flag value, an x_max of 2**64 or more, and a run too
-large to fit in memory), 3 I/O error, 4 a sieve worker process died.
+error (including a NaN flag value, an x_max of 2**64 or more, a hall x-max
+or dirichlet-check p-max of 2**32 or more, and a run too large to fit in
+memory), 3 I/O error, 4 a sieve worker process died.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def cmd_hall(args) -> int:
             }
         )
     if args.x_max is not None:
+        if args.x_max >= 1 << 32:
+            raise ValueError(f"x-max must be below 2**32, got {args.x_max}")
         schedule = checkpoint_schedule(args.x_max, args.ratio)
         table = primes_up_to(args.x_max)
         for m in moduli:
@@ -277,6 +280,8 @@ def cmd_dirichlet_check(args) -> int:
         raise ValueError(f"n-max must be below 2**64, got {args.n_max}")
     if args.p_max < 2:
         raise ValueError(f"p-max must be >= 2, got {args.p_max}")
+    if args.p_max >= 1 << 32:
+        raise ValueError(f"p-max must be below 2**32, got {args.p_max}")
     if not args.tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {args.tolerance}")
     table = primes_up_to(args.p_max)

@@ -10,6 +10,7 @@ truncated sum plus the integral tail, which is accurate to roughly
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .sieve import PrimeTable, iter_segments, primes_up_to
 #: Truncation of the reference zeta values in the identity checks; tail
 #: error ~ 5e-11 at s = 2.
 DEFAULT_ZETA_TERMS = 100_000
+
+# truncated_L fills each segment's terms this many at a time, so its
+# temporaries stay far below the segment's one complex array.
+_TERM_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,17 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
     weights = root_table(m)[(residue_lut(m) * k) % m]
     total = 0j
     for segment in iter_segments(n_max):
-        n = np.arange(segment.lo, segment.hi, dtype=np.float64)
-        total += complex(np.sum(weights[segment.values] * n ** (-s)))
+        # One complex array per segment, filled in slices: each term is
+        # weights[Omega(n)] * n^(-s) as a whole-segment expression would
+        # give, and one np.sum over the array keeps its pairwise order.
+        terms = np.empty(segment.hi - segment.lo, dtype=np.complex128)
+        for i in range(0, len(terms), _TERM_SLICE):
+            n = np.arange(segment.lo + i, min(segment.lo + i + _TERM_SLICE, segment.hi),
+                          dtype=np.float64)
+            out = terms[i : i + len(n)]
+            np.power(n, -s, out=out)
+            np.multiply(weights[segment.values[i : i + len(n)]], out, out=out)
+        total += complex(np.sum(terms))
     return DirichletEvaluation(
         m=m, k=k, s=s, method="truncated-sum", cutoff=n_max, value=total
     )
@@ -106,7 +120,8 @@ def _primes_below(p_max: int, table: PrimeTable | None) -> np.ndarray:
         table = primes_up_to(p_max)
     elif table.limit < p_max:
         raise ValueError(f"prime table covers {table.limit} but p_max = {p_max}")
-    return table.primes[table.primes <= p_max].astype(np.float64)
+    count = np.searchsorted(table.primes, np.uint32(p_max), "right")
+    return table.primes[:count].astype(np.float64)
 
 
 def _euler_product(
@@ -115,9 +130,7 @@ def _euler_product(
     """Multiply factor(zeta_m^k, p^(-s)) over the primes p <= p_max, in
     ascending prime order so the rounding is reproducible."""
     w = complex(root_table(m)[k])
-    value = 1.0 + 0j
-    for term in factor(w, _primes_below(p_max, table) ** (-s)):
-        value *= complex(term)
+    value = math.prod(factor(w, _primes_below(p_max, table) ** (-s)).tolist(), start=1.0 + 0j)
     return DirichletEvaluation(
         m=m, k=k, s=s, method=method, cutoff=int(p_max), value=value
     )

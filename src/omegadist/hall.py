@@ -57,7 +57,9 @@ def mertens_sum(x: int, table: PrimeTable) -> float:
         raise ValueError(f"x must be >= 2, got {x}")
     if table.limit < x:
         raise ValueError(f"prime table covers {table.limit} but x = {x}")
-    return float(table._reciprocal_sums[np.searchsorted(table.primes, x, "right") - 1])
+    # A needle of the table's dtype; a Python int would cast the whole table.
+    count = np.searchsorted(table.primes, np.uint32(x), "right")
+    return float(table._reciprocal_sums[count - 1])
 
 
 def hall_rhs(m: int, k: int, x: int, table: PrimeTable) -> float:

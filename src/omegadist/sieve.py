@@ -34,6 +34,11 @@ a few times each; their hit indices are expanded and folded with np.add.at
 in one vectorized pass, the bucket-sieve idea of the same paper written in
 numpy.
 
+The prime tables themselves come from a segmented sieve of Eratosthenes
+over the odd numbers, pre-sieved by 3, 5, 7, 11 and 13 in the same way,
+which writes its primes straight into one uint32 array; a table's limit is
+below 2**32, which covers every block below 2**64.
+
 A pooled stream sends each worker's block back through one shared buffer
 of (workers + 2) block slots, not as a pickled array through a pipe.
 
@@ -75,6 +80,13 @@ _DENSE_HITS = 128
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
 _PATTERN_PERIOD = 120120
 
+# primes_up_to sieves the odd numbers in segments of this many flags (2^19
+# integers), small enough to stay in cache.  Each segment starts from a
+# periodic pattern with the multiples of 3, 5, 7, 11 and 13 struck out,
+# 15015 flags long.
+_PRIME_SEGMENT = 1 << 18
+_ODD_PATTERN_PRIMES = (3, 5, 7, 11, 13)
+
 # The vectorized pass expands about block_length / _CHUNK_DIVISOR hits at a
 # time, so its index temporaries stay a small fraction of the block.
 _CHUNK_DIVISOR = 64
@@ -88,7 +100,7 @@ MAX_SEGMENT_SIZE = 1 << 24
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as a uint32 array; limit < 2**32."""
 
     limit: int
     primes: np.ndarray
@@ -101,7 +113,8 @@ class PrimeTable:
         """[1/2, 1/2 + 1/3, ...]: the running sum of 1/p in ascending order,
         read by hall.mertens_sum.  cumsum adds strictly left to right, so
         each entry is the same float as summing its prefix afresh."""
-        return np.cumsum(1.0 / self.primes)
+        sums = 1.0 / self.primes
+        return np.cumsum(sums, out=sums)
 
     @functools.cached_property
     def _prime_increments(self) -> np.ndarray:
@@ -116,9 +129,14 @@ class PrimeTable:
         """Every p^e with e >= 3 below min((limit + 1)^2, 2**64), the bound
         on hi of any block the table covers, less 8, which the small-prime
         pattern holds: ascending as uint64, with the increment of p."""
-        cap = np.uint64(min((self.limit + 1) ** 2, 1 << 64) - 1)
-        base = power = self.primes.view(np.uint64)
-        inc = self._prime_increments
+        cap = min((self.limit + 1) ** 2, 1 << 64) - 1
+        # Only the primes with p^3 <= cap have such a power.
+        cube_root = round(cap ** (1 / 3))
+        cube_root -= cube_root**3 > cap
+        count = int(np.searchsorted(self.primes, np.uint32(cube_root), side="right"))
+        base = power = self.primes[:count].astype(np.uint64)
+        inc = self._prime_increments[:count]
+        cap = np.uint64(cap)
         powers, increments = [], []
         for e in itertools.count(2):
             # The primes with p^e <= cap are a prefix, and power * base
@@ -188,21 +206,99 @@ def omega_histogram(values: np.ndarray) -> np.ndarray:
 
 
 def primes_up_to(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes; returns every prime <= limit.
+    """Every prime <= limit, by a segmented sieve of Eratosthenes over the
+    odd numbers.
+
+    The odd base primes up to isqrt(limit) come from a small odd-only
+    sieve; each segment of _PRIME_SEGMENT odd numbers then starts from the
+    tiled pattern of _ODD_PATTERN_PRIMES, has the multiples of the other
+    base primes struck out from the square on, and writes its survivors
+    straight into one uint32 array sized by Dusart's bound
+    pi(x) <= x / log x * (1 + 1.2762 / log x) (x > 1) and trimmed at the
+    end, so the peak is about the table itself.
 
     Parameters
     ----------
     limit : int
-        Inclusive upper bound, at least 2.
+        Inclusive upper bound, 2 <= limit < 2**32.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(flags).astype(np.int64))
+    if limit >= 1 << 32:
+        raise ValueError(f"limit must be below 2**32, got {limit}")
+    log = math.log(limit)
+    primes = np.empty(math.ceil(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.uint32)
+    primes[0] = 2
+    count = 1
+    # Odd n is index (n - 1) // 2.  Every odd prime p <= isqrt(limit) past the
+    # pattern's strikes its odd multiples from p^2 on; next_hit holds the
+    # index of the next one, carried from segment to segment.
+    base = _odd_primes(math.isqrt(limit))
+    base = base[np.count_nonzero(base <= _ODD_PATTERN_PRIMES[-1]) :]
+    next_hit = (base * base - 1) // 2
+    n_odd = (limit + 1) // 2
+    flags = np.empty(min(_PRIME_SEGMENT, n_odd), dtype=bool)
+    pattern = _odd_pattern()
+    for a in range(0, n_odd, _PRIME_SEGMENT):
+        b = min(a + _PRIME_SEGMENT, n_odd)
+        segment = flags[: b - a]
+        _tile(segment, pattern, a)
+        if a == 0:
+            # 1 is not prime; the pattern's own primes are.
+            segment[0] = False
+            segment[[(p - 1) // 2 for p in _ODD_PATTERN_PRIMES if p <= limit]] = True
+        active = int(np.searchsorted(next_hit, b))
+        steps, hits = base[:active], next_hit[:active]
+        for step, first in zip(steps.tolist(), hits.tolist()):
+            segment[first - a :: step] = False
+        # Carry each progression on to its first index at or past b.
+        hits += (b - hits + steps - 1) // steps * steps
+        found = np.flatnonzero(segment)
+        found *= 2
+        found += 2 * a + 1
+        primes[count : count + len(found)] = found
+        count += len(found)
+    # Shrinking in place gives the unused tail back without a copy.
+    primes.resize(count, refcheck=False)
+    return PrimeTable(limit=limit, primes=primes)
+
+
+def _odd_primes(n: int) -> np.ndarray:
+    """The odd primes <= n, ascending as int64, by an odd-only sieve of
+    (n + 1) // 2 flags: the base primes of primes_up_to, whose n is below
+    2**16."""
+    flags = np.ones((n + 1) // 2, dtype=bool)
+    flags[:1] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[(p * p - 1) // 2 :: p] = False
+    return 2 * np.flatnonzero(flags) + 1
+
+
+@functools.cache
+def _odd_pattern() -> np.ndarray:
+    """pattern[i] says whether 2i + 1 has no factor in _ODD_PATTERN_PRIMES,
+    for i below their product: the flags every segment of primes_up_to
+    starts from, tiled from its first index.  Read-only."""
+    pattern = np.ones(math.prod(_ODD_PATTERN_PRIMES), dtype=bool)
+    for p in _ODD_PATTERN_PRIMES:
+        # 2i + 1 = p at i = (p - 1) // 2, and the odd multiples follow every p.
+        pattern[(p - 1) // 2 :: p] = False
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:
+    """Fill out with the periodic pattern, read from index start on."""
+    period = len(pattern)
+    offset = start % period
+    filled = min(len(out), period - offset)
+    out[:filled] = pattern[offset : offset + filled]
+    while filled < len(out):
+        size = min(len(out) - filled, period)
+        out[filled : filled + size] = pattern[:size]
+        filled += size
 
 
 def omega_single(n: int) -> int:
@@ -353,15 +449,8 @@ def _small_prime_pattern() -> np.ndarray:
 def _tile_pattern(lo: int, n: int) -> np.ndarray:
     """The counter words of [lo, lo + n) with the pattern's prime powers
     already sieved: the pattern tiled from lo mod its period."""
-    pattern = _small_prime_pattern()
     words = np.empty(n, dtype=np.uint32)
-    offset = lo % _PATTERN_PERIOD
-    filled = min(n, _PATTERN_PERIOD - offset)
-    words[:filled] = pattern[offset : offset + filled]
-    while filled < n:
-        size = min(n - filled, _PATTERN_PERIOD)
-        words[filled : filled + size] = pattern[:size]
-        filled += size
+    _tile(words, _small_prime_pattern(), lo)
     return words
 
 
@@ -373,8 +462,9 @@ def _prime_powers(
     groups: the primes, their squares and the higher powers.  Each group is
     q ascending (uint64), the offset of its first multiple (int64) and the
     packed increment (uint32)."""
-    count = int(np.searchsorted(table.primes, math.isqrt(hi - 1), side="right"))
-    primes = table.primes[:count].view(np.uint64)
+    root = np.uint32(math.isqrt(hi - 1))
+    count = int(np.searchsorted(table.primes, root, side="right"))
+    primes = table.primes[:count].astype(np.uint64)
     inc = table._prime_increments[:count]
     # The pattern's primes are the smallest primes, and 4 the smallest
     # square; slicing them off keeps the arrays views.

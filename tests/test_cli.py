@@ -255,6 +255,8 @@ def test_race_all_pairs_json(capsys):
 
 _TOO_HIGH = str(2**64)
 _TOO_HIGH_MESSAGE = f"x_max must be below 2**64, got {_TOO_HIGH}"
+# Prime tables are uint32, so a table's limit stays below 2**32.
+_TABLE_TOO_HIGH = str(2**32)
 
 
 @pytest.mark.parametrize(
@@ -270,12 +272,20 @@ _TOO_HIGH_MESSAGE = f"x_max must be below 2**64, got {_TOO_HIGH}"
             f"n-max must be below 2**64, got {_TOO_HIGH}",
         ),
         (["dirichlet-check", "--m", "2", "--p-max", "1"], "p-max must be >= 2, got 1"),
+        (
+            ["dirichlet-check", "--m", "2", "--p-max", _TABLE_TOO_HIGH],
+            f"p-max must be below 2**32, got {_TABLE_TOO_HIGH}",
+        ),
+        (
+            ["hall", "--m", "3", "--x-max", _TABLE_TOO_HIGH],
+            f"x-max must be below 2**32, got {_TABLE_TOO_HIGH}",
+        ),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
     ],
     ids=[
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
         "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
-        "selftest-x-limit",
+        "dirichlet-p-max-2^32", "hall-x-max-2^32", "selftest-x-limit",
     ],
 )
 def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, message):

@@ -113,6 +113,39 @@ def test_truncated_L_validates_domain():
         truncated_L(3, 1, 2.0, 2**64)
 
 
+def test_truncated_L_sums_the_whole_segment_terms_exactly():
+    # The terms are filled slice by slice, but each is the float of the
+    # whole-segment expression and one np.sum per segment adds them in the
+    # same pairwise order, so the value is bit-identical.
+    n_max = (1 << 20) + 3 * dirichlet._TERM_SLICE + 5
+    for m, k, s in [(2, 1, 2.0), (5, 2, complex(1.5, 3.0))]:
+        weights = root_table(m)[(np.arange(64) * k) % m]
+        expected = 0j
+        for segment in iter_segments(n_max):
+            n = np.arange(segment.lo, segment.hi, dtype=np.float64)
+            expected += complex(np.sum(weights[segment.values] * n ** (-s)))
+        assert truncated_L(m, k, s, n_max).value == expected
+
+
+def test_truncated_sum_keeps_one_array_per_segment(peak_rss_growth_mb):
+    # One complex128 array of 10^6 terms is 16 MB; four whole-segment
+    # temporaries added 41 MB.
+    assert peak_rss_growth_mb("truncated_L(2, 1, 2.0, 10**6)") < 24
+
+
+def test_euler_products_multiply_left_to_right():
+    # The product is the rounding of a plain ascending loop, bit for bit.
+    table = primes_up_to(10_000)
+    p = table.primes.astype(np.float64)
+    for m in (3, 7, 12):
+        for k in range(m):
+            w = complex(root_table(m)[k])
+            expected = 1.0 + 0j
+            for term in 1.0 / (1.0 - w * p ** -(2.0 + 0j)):
+                expected *= complex(term)
+            assert euler_L(m, k, 2.0, 10_000, table).value == expected
+
+
 def test_euler_L_validates():
     with pytest.raises(ValueError, match="p_max must be >= 2"):
         euler_L(3, 1, 2.0, 1)

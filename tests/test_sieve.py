@@ -2,6 +2,7 @@
 and at the edges of the block sieve, segment-boundary independence and
 argument validation."""
 
+import bisect
 import math
 import multiprocessing
 import random
@@ -49,6 +50,68 @@ def test_primes_up_to_pi_of_10000():
 def test_primes_up_to_rejects_tiny_limit():
     with pytest.raises(ValueError):
         primes_up_to(1)
+
+
+def _reference_primes(limit):
+    """Every prime <= limit by the plain sieve of Eratosthenes over all
+    integers, independent of the segmented odd-only sieve."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+def test_primes_up_to_matches_reference_at_every_small_limit():
+    reference = _reference_primes(3000)
+    for limit in range(2, 3001):
+        expected = reference[: bisect.bisect_right(reference, limit)]
+        assert primes_up_to(limit).primes.tolist() == expected, limit
+
+
+def _edge_limits():
+    # A segment holds _PRIME_SEGMENT odd numbers, 2 * _PRIME_SEGMENT
+    # integers; the odd pattern repeats every 15015 odd numbers.
+    span = 2 * sieve._PRIME_SEGMENT
+    edges = [k * span for k in (1, 2, 3)] + [2 * 15015, 4 * 15015]
+    squares = [p * p for p in (17, 19, 101, 1021, 1031)]
+    return sorted(
+        {e + d for e in edges for d in (-2, -1, 0, 1, 2)}
+        | {q + d for q in squares for d in (-1, 0, 1)}
+    )
+
+
+def test_primes_up_to_matches_reference_at_segment_edges_and_squares():
+    limits = _edge_limits()
+    reference = _reference_primes(max(limits))
+    for limit in limits:
+        expected = reference[: bisect.bisect_right(reference, limit)]
+        assert primes_up_to(limit).primes.tolist() == expected, limit
+
+
+def test_primes_up_to_pi_of_10_to_7():
+    table = primes_up_to(10**7)
+    assert table.primes.dtype == np.uint32
+    assert len(table) == 664_579
+    assert table.primes[-1] == 9_999_991
+
+
+def test_primes_up_to_refuses_2_to_32_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit must be below 2\\*\\*32"):
+            primes_up_to(2**32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_prime_table_to_10_to_8_stays_small(peak_rss_growth_mb):
+    # The table itself is 23 MB of uint32; a bool array plus an int64 copy
+    # added 183 MB.
+    assert peak_rss_growth_mb("primes_up_to(10**8)") < 50
 
 
 @pytest.mark.parametrize(
