@@ -100,13 +100,13 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
         # One complex array per segment, filled in slices: each term is
         # weights[Omega(n)] * n^(-s) as a whole-segment expression would
         # give, and one np.sum over the array keeps its pairwise order.
-        terms = np.empty(segment.hi - segment.lo, dtype=np.complex128)
-        for i in range(0, len(terms), _TERM_SLICE):
-            n = np.arange(segment.lo + i, min(segment.lo + i + _TERM_SLICE, segment.hi),
-                          dtype=np.float64)
-            out = terms[i : i + len(n)]
-            np.power(n, -s, out=out)
-            np.multiply(weights[segment.values[i : i + len(n)]], out, out=out)
+        lo, hi = segment.lo, segment.hi
+        terms = np.empty(hi - lo, dtype=np.complex128)
+        for a in range(lo, hi, _TERM_SLICE):
+            b = min(a + _TERM_SLICE, hi)
+            out = terms[a - lo : b - lo]
+            np.power(np.arange(a, b, dtype=np.float64), -s, out=out)
+            np.multiply(weights[segment.values[a - lo : b - lo]], out, out=out)
         total += complex(np.sum(terms))
     return DirichletEvaluation(
         m=m, k=k, s=s, method="truncated-sum", cutoff=n_max, value=total

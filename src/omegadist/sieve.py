@@ -209,11 +209,11 @@ def primes_up_to(limit: int) -> PrimeTable:
     """Every prime <= limit, by a segmented sieve of Eratosthenes over the
     odd numbers.
 
-    The odd base primes up to isqrt(limit) come from a small odd-only
-    sieve; each segment of _PRIME_SEGMENT odd numbers then starts from the
-    tiled pattern of _ODD_PATTERN_PRIMES, has the multiples of the other
-    base primes struck out from the square on, and writes its survivors
-    straight into one uint32 array sized by Dusart's bound
+    The base primes up to isqrt(limit) come from the same sieve run to
+    isqrt(limit); each segment of _PRIME_SEGMENT odd numbers then starts
+    from the tiled pattern of _ODD_PATTERN_PRIMES, has the multiples of the
+    other base primes struck out from the square on, and writes its
+    survivors straight into one uint32 array sized by Dusart's bound
     pi(x) <= x / log x * (1 + 1.2762 / log x) (x > 1) and trimmed at the
     end, so the peak is about the table itself.
 
@@ -226,14 +226,20 @@ def primes_up_to(limit: int) -> PrimeTable:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= 1 << 32:
         raise ValueError(f"limit must be below 2**32, got {limit}")
+    return PrimeTable(limit=limit, primes=_sieve_primes(limit))
+
+
+def _sieve_primes(limit: int) -> np.ndarray:
+    """The primes of primes_up_to(limit), ascending as uint32."""
     log = math.log(limit)
     primes = np.empty(math.ceil(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.uint32)
     primes[0] = 2
     count = 1
-    # Odd n is index (n - 1) // 2.  Every odd prime p <= isqrt(limit) past the
+    # Odd n is index (n - 1) // 2.  Every prime p <= isqrt(limit) past the
     # pattern's strikes its odd multiples from p^2 on; next_hit holds the
     # index of the next one, carried from segment to segment.
-    base = _odd_primes(math.isqrt(limit))
+    root = math.isqrt(limit)
+    base = _sieve_primes(root).astype(np.int64) if root >= 2 else np.empty(0, np.int64)
     base = base[np.count_nonzero(base <= _ODD_PATTERN_PRIMES[-1]) :]
     next_hit = (base * base - 1) // 2
     n_odd = (limit + 1) // 2
@@ -260,20 +266,7 @@ def primes_up_to(limit: int) -> PrimeTable:
         count += len(found)
     # Shrinking in place gives the unused tail back without a copy.
     primes.resize(count, refcheck=False)
-    return PrimeTable(limit=limit, primes=primes)
-
-
-def _odd_primes(n: int) -> np.ndarray:
-    """The odd primes <= n, ascending as int64, by an odd-only sieve of
-    (n + 1) // 2 flags: the base primes of primes_up_to, whose n is below
-    2**16."""
-    flags = np.ones((n + 1) // 2, dtype=bool)
-    flags[:1] = False
-    for i in range(1, (math.isqrt(n) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[(p * p - 1) // 2 :: p] = False
-    return 2 * np.flatnonzero(flags) + 1
+    return primes
 
 
 @functools.cache
