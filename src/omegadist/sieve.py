@@ -398,7 +398,8 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     values = np.empty(n, dtype=np.uint8)
     words = _tile_pattern(lo, n)
     for q, start, inc in _prime_powers(lo, hi, table):
-        dense = int(np.searchsorted(q, n // _DENSE_HITS, side="right"))
+        # A needle of q's dtype; a Python int would cast all of q.
+        dense = int(np.searchsorted(q, q.dtype.type(n // _DENSE_HITS), side="right"))
         for step, first, add in zip(
             q[:dense].tolist(), start[:dense].tolist(), inc[:dense].tolist()
         ):
@@ -453,19 +454,20 @@ def _prime_powers(
     """Yield the prime powers q = p^e < hi with p <= isqrt(hi - 1) that have
     a multiple in [lo, hi), less those in the small-prime pattern, in three
     groups: the primes, their squares and the higher powers.  Each group is
-    q ascending (uint64), the offset of its first multiple (int64) and the
-    packed increment (uint32)."""
+    q ascending (uint32 for the primes, uint64 for the powers), the offset
+    of its first multiple (int64) and the packed increment (uint32)."""
     root = np.uint32(math.isqrt(hi - 1))
     count = int(np.searchsorted(table.primes, root, side="right"))
-    primes = table.primes[:count].astype(np.uint64)
+    primes = table.primes[:count]
     inc = table._prime_increments[:count]
     # The pattern's primes are the smallest primes, and 4 the smallest
     # square; slicing them off keeps the arrays views.
     skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
     yield _first_hits(lo, hi, primes[skip:], inc[skip:])
-    # p <= isqrt(hi - 1) gives p^2 < hi, and every p^e < hi with e >= 3 is
-    # a cached power of such a p.
-    squares = primes * primes
+    # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
+    # e >= 3 is a cached power of such a p.
+    squares = primes.astype(np.uint64)
+    squares *= squares
     skip = int(np.count_nonzero(_PATTERN_PERIOD % squares[:1] == 0))
     yield _first_hits(lo, hi, squares[skip:], inc[skip:])
     powers, power_inc = table._higher_powers
