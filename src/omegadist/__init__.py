@@ -10,7 +10,6 @@ satisfy, and scans sign changes in the race between two residue classes.
 """
 
 from .dirichlet import (
-    DirichletEvaluation,
     IdentityReport,
     check_g_product,
     check_identity_product,
@@ -69,7 +68,6 @@ __all__ = [
     "CheckpointSeries",
     "DEFAULT_RATIO",
     "DEFAULT_SEGMENT_SIZE",
-    "DirichletEvaluation",
     "ErrorCheckpoint",
     "GrowthFit",
     "HallConstants",

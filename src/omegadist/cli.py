@@ -8,9 +8,11 @@ regardless of --workers.
 
 Exit codes: 0 success, 1 tolerance or self-check failure, or too few
 nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
-error (including a NaN flag value, an x_max of 2**64 or more, a hall x-max
-or dirichlet-check p-max of 2**32 or more, and a run too large to fit in
-memory), 3 I/O error, 4 a sieve worker process died.
+error (including a NaN flag value, a ratio that is not finite and above 1,
+with or without hall's x-max, an x_max of 2**64 or more, a hall x-max or
+dirichlet-check p-max of 2**32 or more, a selftest x-limit above 2**24,
+and a run too large to fit in memory), 3 I/O error, 4 a sieve worker
+process died.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ def cmd_hall(args) -> int:
                 "a_exponent": constants.a_exponent,
             }
         )
-    if args.x_max is not None:
+    if args.x_max is None:
+        checkpoint_schedule(10, args.ratio)  # checks the ratio, as with --x-max
+    else:
         if args.x_max >= 1 << 32:
             raise ValueError(f"x-max must be below 2**32, got {args.x_max}")
         schedule = checkpoint_schedule(args.x_max, args.ratio)
@@ -284,16 +288,11 @@ def cmd_dirichlet_check(args) -> int:
         raise ValueError(f"p-max must be below 2**32, got {args.p_max}")
     if not args.tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {args.tolerance}")
-    table = primes_up_to(args.p_max)
     reports = [(2, args.n_max, None, check_lquo(args.s, args.n_max))]
     for m in moduli:
-        reports.append(
-            (m, None, args.p_max, check_identity_product(m, args.s, args.p_max, table))
-        )
+        reports.append((m, None, args.p_max, check_identity_product(m, args.s, args.p_max)))
         if m >= 2:
-            reports.append(
-                (m, None, args.p_max, check_g_product(m, args.s, args.p_max, table))
-            )
+            reports.append((m, None, args.p_max, check_g_product(m, args.s, args.p_max)))
     rows = []
     all_pass = True
     for m, n_max, p_max, report in reports:
@@ -398,6 +397,9 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
     """
     if x_limit < 100:
         raise ValueError(f"x-limit must be >= 100, got {x_limit}")
+    # 1..x_limit is sieved as one block and trial-divided.
+    if x_limit > MAX_SEGMENT_SIZE:
+        raise ValueError(f"x-limit must be at most {MAX_SEGMENT_SIZE}, got {x_limit}")
     checks: list[dict] = []
 
     def run(name: str, body) -> None:

@@ -3,8 +3,9 @@ of Omega, with numeric checks of the identities they satisfy.
 
 All evaluations are plain sums and products in the half-plane Re s > 1;
 there is no analytic continuation here.  Reference zeta values come from a
-truncated sum plus the integral tail, which is accurate to roughly
-0.5 * terms^(-Re s) relative.
+truncated sum of DEFAULT_ZETA_TERMS terms plus the integral tail, which
+is accurate to roughly half the last term.  Each Euler product runs over
+every prime of a PrimeTable; each identity check builds one table.
 """
 
 from __future__ import annotations
@@ -18,25 +19,12 @@ import numpy as np
 from .residues import residue_lut, root_table
 from .sieve import PrimeTable, iter_segments, primes_up_to
 
-#: Truncation of the reference zeta values in the identity checks; tail
-#: error ~ 5e-11 at s = 2.
+#: Truncation of the reference zeta values; tail error ~ 5e-11 at s = 2.
 DEFAULT_ZETA_TERMS = 100_000
 
 # truncated_L fills each segment's terms this many at a time, so its
 # temporaries stay far below the segment's one complex array.
 _TERM_SLICE = 1 << 16
-
-
-@dataclass(frozen=True)
-class DirichletEvaluation:
-    """One numeric evaluation of L_{m,k}(s), tagged with how it was made."""
-
-    m: int
-    k: int
-    s: complex
-    method: str  # "truncated-sum", "euler-product" or "g-product"
-    cutoff: int  # n_max or p_max
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -59,26 +47,24 @@ def _require_finite(s: complex) -> None:
         raise ValueError(f"s must be finite, got {s}")
 
 
-def zeta_ref(s: complex, terms: int) -> complex:
+def zeta_ref(s: complex) -> complex:
     """Reference zeta(s) for Re s > 1: truncated sum plus integral tail.
 
-    zeta(s) ~ sum_{n<=terms} n^(-s) + terms^(1-s)/(s-1); the second term is
-    the integral comparison of the discarded tail, leaving an error of about
-    half the last term.
+    zeta(s) ~ sum_{n<=N} n^(-s) + N^(1-s)/(s-1) with N = DEFAULT_ZETA_TERMS;
+    the second term is the integral comparison of the discarded tail,
+    leaving an error of about half the last term.
     """
     s = complex(s)
     if not s.real > 1.0:
         raise ValueError(f"zeta_ref needs Re s > 1, got {s}")
     _require_finite(s)
-    if terms < 10:
-        raise ValueError(f"terms must be >= 10, got {terms}")
-    n = np.arange(1, terms + 1, dtype=np.float64)
+    n = np.arange(1, DEFAULT_ZETA_TERMS + 1, dtype=np.float64)
     head = complex(np.sum(n ** (-s)))
-    tail = terms ** (1.0 - s) / (s - 1.0)
+    tail = DEFAULT_ZETA_TERMS ** (1.0 - s) / (s - 1.0)
     return head + tail
 
 
-def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
+def truncated_L(m: int, k: int, s: complex, n_max: int) -> complex:
     """Partial sum over n <= n_max of zeta_m^(k*Omega(n)) / n^s.
 
     Omega values come from the segmented sieve; no per-n factoring happens
@@ -108,61 +94,32 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> DirichletEvaluation:
             np.power(np.arange(a, b, dtype=np.float64), -s, out=out)
             np.multiply(weights[segment.values[a - lo : b - lo]], out, out=out)
         total += complex(np.sum(terms))
-    return DirichletEvaluation(
-        m=m, k=k, s=s, method="truncated-sum", cutoff=n_max, value=total
-    )
+    return total
 
 
-def _primes_below(p_max: int, table: PrimeTable | None) -> np.ndarray:
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    if table is None:
-        table = primes_up_to(p_max)
-    elif table.limit < p_max:
-        raise ValueError(f"prime table covers {table.limit} but p_max = {p_max}")
-    count = np.searchsorted(table.primes, np.uint32(p_max), "right")
-    return table.primes[:count].astype(np.float64)
-
-
-def _euler_product(
-    m: int, k: int, s: complex, p_max: int, table: PrimeTable | None, method: str, factor
-) -> DirichletEvaluation:
-    """Multiply factor(zeta_m^k, p^(-s)) over the primes p <= p_max, in
+def _euler_product(m: int, k: int, s: complex, table: PrimeTable, factor) -> complex:
+    """Multiply factor(zeta_m^k, p^(-s)) over every prime p of the table, in
     ascending prime order so the rounding is reproducible."""
     w = complex(root_table(m)[k])
-    value = math.prod(factor(w, _primes_below(p_max, table) ** (-s)).tolist(), start=1.0 + 0j)
-    return DirichletEvaluation(
-        m=m, k=k, s=s, method=method, cutoff=int(p_max), value=value
-    )
+    p = table.primes.astype(np.float64)
+    return math.prod(factor(w, p ** (-s)).tolist(), start=1.0 + 0j)
 
 
-def euler_L(
-    m: int,
-    k: int,
-    s: complex,
-    p_max: int,
-    table: PrimeTable | None = None,
-) -> DirichletEvaluation:
-    """Euler product over p <= p_max of (1 - zeta_m^k * p^(-s))^(-1)."""
+def euler_L(m: int, k: int, s: complex, table: PrimeTable) -> complex:
+    """Euler product over the primes of the table of
+    (1 - zeta_m^k * p^(-s))^(-1)."""
     s = complex(s)
     if not s.real > 1.0:
         raise ValueError(f"Euler product needs Re s > 1, got {s}")
     _require_finite(s)
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    return _euler_product(
-        m, k, s, p_max, table, "euler-product", lambda w, z: 1.0 / (1.0 - w * z)
-    )
+    return _euler_product(m, k, s, table, lambda w, z: 1.0 / (1.0 - w * z))
 
 
-def euler_G(
-    m: int,
-    k: int,
-    s: complex,
-    p_max: int,
-    table: PrimeTable | None = None,
-) -> DirichletEvaluation:
-    """Partial product of (1 - zeta_m^k p^(-s))^(-1) * (1 - p^(-s))^(zeta_m^k).
+def euler_G(m: int, k: int, s: complex, table: PrimeTable) -> complex:
+    """Product over the primes of the table of
+    (1 - zeta_m^k p^(-s))^(-1) * (1 - p^(-s))^(zeta_m^k).
 
     The second factor strips the zeta_m^k-th power of the zeta factor, which
     makes each term 1 + O(p^(-2s)) and the product rapidly convergent.  Only
@@ -179,8 +136,7 @@ def euler_G(
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     return _euler_product(
-        m, k, s_real, p_max, table, "g-product",
-        lambda w, z: np.exp(w * np.log1p(-z)) / (1.0 - w * z),
+        m, k, s_real, table, lambda w, z: np.exp(w * np.log1p(-z)) / (1.0 - w * z)
     )
 
 
@@ -190,29 +146,24 @@ def check_lquo(s: complex, n_max: int) -> IdentityReport:
     lambda is the m = 2, k = 1 twist: (-1)^Omega(n).
     """
     s = complex(s)
-    lhs = truncated_L(2, 1, s, n_max).value
-    rhs = zeta_ref(2.0 * s, DEFAULT_ZETA_TERMS) / zeta_ref(s, DEFAULT_ZETA_TERMS)
+    lhs = truncated_L(2, 1, s, n_max)
+    rhs = zeta_ref(2.0 * s) / zeta_ref(s)
     return IdentityReport(check="lambda-quotient", lhs=lhs, rhs=rhs)
 
 
 def _product_check(
-    check: str, evaluate, ks: range, m: int, s: complex, p_max: int,
-    table: PrimeTable | None,
+    check: str, evaluate, ks: range, m: int, s: complex, p_max: int
 ) -> IdentityReport:
-    """Multiply evaluate(m, k, s, p_max, table) over k in ks and compare the
-    product with zeta(m*s)."""
+    """Multiply evaluate(m, k, s, table) over k in ks, with one table of the
+    primes up to p_max, and compare the product with zeta(m*s)."""
+    table = primes_up_to(p_max)
     lhs = 1.0 + 0j
     for k in ks:
-        lhs *= evaluate(m, k, s, p_max, table).value
-    return IdentityReport(check=check, lhs=lhs, rhs=zeta_ref(m * s, DEFAULT_ZETA_TERMS))
+        lhs *= evaluate(m, k, s, table)
+    return IdentityReport(check=check, lhs=lhs, rhs=zeta_ref(m * s))
 
 
-def check_identity_product(
-    m: int,
-    s: complex,
-    p_max: int,
-    table: PrimeTable | None = None,
-) -> IdentityReport:
+def check_identity_product(m: int, s: complex, p_max: int) -> IdentityReport:
     """Check prod_{k=0}^{m-1} L_{m,k}(s) against zeta(m*s).
 
     Per prime the factors multiply to (1 - p^(-ms))^(-1), because the m-th
@@ -220,15 +171,10 @@ def check_identity_product(
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    return _product_check("full-product", euler_L, range(m), m, s, p_max, table)
+    return _product_check("full-product", euler_L, range(m), m, s, p_max)
 
 
-def check_g_product(
-    m: int,
-    s: float,
-    p_max: int,
-    table: PrimeTable | None = None,
-) -> IdentityReport:
+def check_g_product(m: int, s: float, p_max: int) -> IdentityReport:
     """Check prod_{k=1}^{m-1} G_{m,k}(s) against zeta(m*s).
 
     The zeta powers stripped from the nontrivial factors carry total
@@ -237,4 +183,4 @@ def check_g_product(
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}: the product is over 0 < k < m")
-    return _product_check("g-product", euler_G, range(1, m), m, s, p_max, table)
+    return _product_check("g-product", euler_G, range(1, m), m, s, p_max)

@@ -35,7 +35,7 @@ in one vectorized pass, the bucket-sieve idea of the same paper written in
 numpy.
 
 The prime tables themselves come from a segmented sieve of Eratosthenes
-over the odd numbers, pre-sieved by 3, 5, 7, 11 and 13 in the same way,
+over the odd numbers, pre-sieved from the odd half of the same pattern,
 which writes its primes straight into one uint32 array; a table's limit is
 below 2**32, which covers every block below 2**64.
 
@@ -81,11 +81,10 @@ _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
 _PATTERN_PERIOD = 120120
 
 # primes_up_to sieves the odd numbers in segments of this many flags (2^19
-# integers), small enough to stay in cache.  Each segment starts from a
-# periodic pattern with the multiples of 3, 5, 7, 11 and 13 struck out,
-# 15015 flags long.
+# integers), small enough to stay in cache.  Each segment starts from the
+# odd half of the block pattern, 60060 flags that strike out the multiples
+# of 3, 5, 7, 11 and 13.
 _PRIME_SEGMENT = 1 << 18
-_ODD_PATTERN_PRIMES = (3, 5, 7, 11, 13)
 
 # The vectorized pass expands about block_length / _CHUNK_DIVISOR hits at a
 # time, so its index temporaries stay a small fraction of the block.
@@ -211,7 +210,7 @@ def primes_up_to(limit: int) -> PrimeTable:
 
     The base primes up to isqrt(limit) come from the same sieve run to
     isqrt(limit); each segment of _PRIME_SEGMENT odd numbers then starts
-    from the tiled pattern of _ODD_PATTERN_PRIMES, has the multiples of the
+    from the odd half of the tiled block pattern, has the multiples of the
     other base primes struck out from the square on, and writes its
     survivors straight into one uint32 array sized by Dusart's bound
     pi(x) <= x / log x * (1 + 1.2762 / log x) (x > 1) and trimmed at the
@@ -240,11 +239,13 @@ def _sieve_primes(limit: int) -> np.ndarray:
     # index of the next one, carried from segment to segment.
     root = math.isqrt(limit)
     base = _sieve_primes(root).astype(np.int64) if root >= 2 else np.empty(0, np.int64)
-    base = base[np.count_nonzero(base <= _ODD_PATTERN_PRIMES[-1]) :]
+    base = base[np.count_nonzero(base <= _PATTERN_PRIMES[-1]) :]
     next_hit = (base * base - 1) // 2
     n_odd = (limit + 1) // 2
     flags = np.empty(min(_PRIME_SEGMENT, n_odd), dtype=bool)
-    pattern = _odd_pattern()
+    # Odd n = 2i + 1 sits at word n of the block pattern, which is 0 exactly
+    # when no pattern prime divides n.
+    pattern = _small_prime_pattern()[1::2] == 0
     for a in range(0, n_odd, _PRIME_SEGMENT):
         b = min(a + _PRIME_SEGMENT, n_odd)
         segment = flags[: b - a]
@@ -252,7 +253,7 @@ def _sieve_primes(limit: int) -> np.ndarray:
         if a == 0:
             # 1 is not prime; the pattern's own primes are.
             segment[0] = False
-            segment[[(p - 1) // 2 for p in _ODD_PATTERN_PRIMES if p <= limit]] = True
+            segment[[(p - 1) // 2 for p in _PATTERN_PRIMES[1:] if p <= limit]] = True
         active = int(np.searchsorted(next_hit, b))
         steps, hits = base[:active], next_hit[:active]
         for step, first in zip(steps.tolist(), hits.tolist()):
@@ -267,19 +268,6 @@ def _sieve_primes(limit: int) -> np.ndarray:
     # Shrinking in place gives the unused tail back without a copy.
     primes.resize(count, refcheck=False)
     return primes
-
-
-@functools.cache
-def _odd_pattern() -> np.ndarray:
-    """pattern[i] says whether 2i + 1 has no factor in _ODD_PATTERN_PRIMES,
-    for i below their product: the flags every segment of primes_up_to
-    starts from, tiled from its first index.  Read-only."""
-    pattern = np.ones(math.prod(_ODD_PATTERN_PRIMES), dtype=bool)
-    for p in _ODD_PATTERN_PRIMES:
-        # 2i + 1 = p at i = (p - 1) // 2, and the odd multiples follow every p.
-        pattern[(p - 1) // 2 :: p] = False
-    pattern.flags.writeable = False
-    return pattern
 
 
 def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import omegadist
-from omegadist import cli, sieve
+from omegadist import cli, dirichlet, sieve
 from omegadist.cli import build_parser, main, run_selftest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -174,14 +174,30 @@ def test_dirichlet_check_rejects_infinite_s(capsys):
         ["density", "--m", "3", "--x-max", "100"],
         ["error-growth", "--m", "3", "--x-max", "100"],
         ["hall", "--m", "3", "--x-max", "100"],
+        ["hall", "--m", "3"],
     ],
-    ids=["density", "error-growth", "hall"],
+    ids=["density", "error-growth", "hall", "hall-no-x-max"],
 )
 def test_infinite_ratio_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--ratio", "inf")
     assert code == 2
     assert out == ""
     assert err == "omegadist: ratio must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("ratio", ["nan", "0.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["hall", "--m", "3", "--x-max", "100"], ["hall", "--m", "3"]],
+    ids=["x-max", "no-x-max"],
+)
+def test_hall_ratio_not_above_one_exits_2(capsys, argv, ratio):
+    # Without --x-max no schedule is built, but the config echoes the ratio,
+    # and NaN is not valid JSON.
+    code, out, err = run_cli(capsys, *argv, "--ratio", ratio, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"omegadist: ratio must be > 1, got {ratio}\n"
 
 
 @pytest.mark.parametrize("command", ["density", "error-growth", "hall"])
@@ -281,11 +297,16 @@ _TABLE_TOO_HIGH = str(2**32)
             f"x-max must be below 2**32, got {_TABLE_TOO_HIGH}",
         ),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
+        (
+            ["selftest", "--x-limit", "16777217"],
+            "x-limit must be at most 16777216, got 16777217",
+        ),
     ],
     ids=[
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
         "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
         "dirichlet-p-max-2^32", "hall-x-max-2^32", "selftest-x-limit",
+        "selftest-x-limit-2^24",
     ],
 )
 def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, message):
@@ -296,6 +317,7 @@ def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, m
 
     monkeypatch.setattr(sieve, "primes_up_to", never)
     monkeypatch.setattr(cli, "primes_up_to", never)
+    monkeypatch.setattr(dirichlet, "primes_up_to", never)
     monkeypatch.setattr(sieve, "ProcessPoolExecutor", never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -356,24 +378,25 @@ def test_worker_crash_exits_4(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, error, message",
+    "module, argv, error, message",
     [
         (
+            cli,
             ["hall", "--m", "3", "--x-max", "100"],
             MemoryError("Unable to allocate 9.09 TiB for an array"),
             "Unable to allocate 9.09 TiB for an array",
         ),
-        (["dirichlet-check", "--m", "3"], MemoryError(), "allocation failed"),
+        (dirichlet, ["dirichlet-check", "--m", "3"], MemoryError(), "allocation failed"),
     ],
     ids=["hall", "dirichlet-check"],
 )
-def test_out_of_memory_exits_2(capsys, monkeypatch, argv, error, message):
+def test_out_of_memory_exits_2(capsys, monkeypatch, module, argv, error, message):
     # A real allocation of that size must not be attempted here: with memory
     # overcommit it succeeds, and the OOM killer ends the test run instead.
     def fail(limit):
         raise error
 
-    monkeypatch.setattr(cli, "primes_up_to", fail)
+    monkeypatch.setattr(module, "primes_up_to", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

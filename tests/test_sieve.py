@@ -72,9 +72,10 @@ def test_primes_up_to_matches_reference_at_every_small_limit():
 
 def _edge_limits():
     # A segment holds _PRIME_SEGMENT odd numbers, 2 * _PRIME_SEGMENT
-    # integers; the odd pattern repeats every 15015 odd numbers.
+    # integers; the odd half of the block pattern repeats every 120120
+    # integers, and an odd-only pattern of 3..13 would every 30030.
     span = 2 * sieve._PRIME_SEGMENT
-    edges = [k * span for k in (1, 2, 3)] + [2 * 15015, 4 * 15015]
+    edges = [k * span for k in (1, 2, 3)] + [2 * 15015, 4 * 15015, 120120, 240240]
     squares = [p * p for p in (17, 19, 101, 1021, 1031)]
     return sorted(
         {e + d for e in edges for d in (-2, -1, 0, 1, 2)}
