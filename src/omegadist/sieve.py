@@ -243,9 +243,7 @@ def _sieve_primes(limit: int) -> np.ndarray:
     next_hit = (base * base - 1) // 2
     n_odd = (limit + 1) // 2
     flags = np.empty(min(_PRIME_SEGMENT, n_odd), dtype=bool)
-    # Odd n = 2i + 1 sits at word n of the block pattern, which is 0 exactly
-    # when no pattern prime divides n.
-    pattern = _small_prime_pattern()[1::2] == 0
+    pattern = _odd_flags()
     for a in range(0, n_odd, _PRIME_SEGMENT):
         b = min(a + _PRIME_SEGMENT, n_odd)
         segment = flags[: b - a]
@@ -268,6 +266,17 @@ def _sieve_primes(limit: int) -> np.ndarray:
     # Shrinking in place gives the unused tail back without a copy.
     primes.resize(count, refcheck=False)
     return primes
+
+
+@functools.cache
+def _odd_flags() -> np.ndarray:
+    """flags[i] says whether 2i + 1 has no factor in _PATTERN_PRIMES: the odd
+    half of the block pattern, whose word n is 0 exactly when no pattern
+    prime divides n.  Every segment of primes_up_to starts from these flags,
+    tiled from its first index.  Read-only."""
+    flags = _small_prime_pattern()[1::2] == 0
+    flags.flags.writeable = False
+    return flags
 
 
 def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:
