@@ -22,14 +22,13 @@ from .dirichlet import (
 from .errorterms import (
     DEFAULT_RATIO,
     CheckpointSeries,
-    ErrorCheckpoint,
     GrowthFit,
     InsufficientDataError,
     character_growth_exponent,
-    checkpoint,
     checkpoint_schedule,
     growth_exponent,
     record_many,
+    scaled_residuals,
 )
 from .hall import (
     HallConstants,
@@ -41,7 +40,6 @@ from .hall import (
 )
 from .race import RaceEvent, RaceSummary, all_pairs, race_scan
 from .residues import (
-    CharacterSumSet,
     InconsistentTransformError,
     ResidueTally,
     counts_from_sums,
@@ -64,11 +62,9 @@ from .sieve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacterSumSet",
     "CheckpointSeries",
     "DEFAULT_RATIO",
     "DEFAULT_SEGMENT_SIZE",
-    "ErrorCheckpoint",
     "GrowthFit",
     "HallConstants",
     "IdentityReport",
@@ -84,7 +80,6 @@ __all__ = [
     "check_g_product",
     "check_identity_product",
     "check_lquo",
-    "checkpoint",
     "checkpoint_schedule",
     "counts_from_sums",
     "euler_G",
@@ -104,6 +99,7 @@ __all__ = [
     "race_scan",
     "record_many",
     "root_table",
+    "scaled_residuals",
     "sums_from_counts",
     "tally_segment",
     "truncated_L",

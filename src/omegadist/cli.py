@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 tolerance or self-check failure, or too few
 nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
 error (including a NaN flag value, a ratio that is not finite and above 1,
 with or without hall's x-max, an x_max of 2**64 or more, a hall x-max or
-dirichlet-check p-max of 2**32 or more, a selftest x-limit above 2**24,
-and a run too large to fit in memory), 3 I/O error, 4 a sieve worker
-process died.
+dirichlet-check p-max of 2**32 or more, a dirichlet-check s whose 2*s or
+m*s overflows, a selftest x-limit above 2**24, and a run too large to fit
+in memory), 3 I/O error, 4 a sieve worker process died.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from .errorterms import (
     DEFAULT_RATIO,
     InsufficientDataError,
     character_growth_exponent,
-    checkpoint,
     checkpoint_schedule,
     growth_exponent,
     record_many,
+    scaled_residuals,
 )
 from .hall import hall_constants, hall_rhs, predicted_bound
 from .race import all_pairs, race_scan
@@ -164,7 +164,7 @@ def cmd_density(args) -> int:
     rows = []
     for m in moduli:
         for cp in series[m].checkpoints:
-            counts = cp.counts()
+            scaled = scaled_residuals(cp)
             bound = predicted_bound(m, cp.x) if m >= 2 else None
             for j in range(m):
                 rows.append(
@@ -172,9 +172,9 @@ def cmd_density(args) -> int:
                         "m": m,
                         "x": cp.x,
                         "j": j,
-                        "count": int(counts[j]),
-                        "ratio": int(counts[j]) / cp.x,
-                        "scaled_residual": int(cp.scaled_residuals[j]),
+                        "count": int(cp.counts[j]),
+                        "ratio": int(cp.counts[j]) / cp.x,
+                        "scaled_residual": int(scaled[j]),
                         "predicted_bound": bound,
                     }
                 )
@@ -230,6 +230,7 @@ def cmd_error_growth(args) -> int:
     rows = []
     for m in moduli:
         for cp in series[m].checkpoints:
+            scaled = scaled_residuals(cp)
             for j in range(m):
                 rows.append(
                     {
@@ -237,7 +238,7 @@ def cmd_error_growth(args) -> int:
                         "m": m,
                         "x": cp.x,
                         "j": j,
-                        "scaled_residual": int(cp.scaled_residuals[j]),
+                        "scaled_residual": int(scaled[j]),
                     }
                 )
         fits = [("class-fit", growth_exponent(series[m], j)) for j in range(m)]
@@ -278,6 +279,9 @@ def cmd_dirichlet_check(args) -> int:
         raise ValueError(f"s must be > 1, got {args.s}")
     if math.isinf(args.s):
         raise ValueError(f"s must be finite, got {args.s}")
+    scale = max(2, *moduli)  # the identities evaluate zeta(2s) and zeta(m*s)
+    if math.isinf(scale * args.s):
+        raise ValueError(f"s must keep {scale}*s finite, got {args.s}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     if args.n_max >= 1 << 64:
@@ -439,7 +443,7 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
         for m in range(1, 13):
             tally = tally_segment(new_tally(m), segment)
             sums = sums_from_counts(tally)
-            if abs(sums.sums[0] - tally.x) != 0.0:
+            if abs(sums[0] - tally.x) != 0.0:
                 return False, f"sums[0] != x at m = {m}"
             recovered = counts_from_sums(sums)
             if not np.array_equal(recovered.counts, tally.counts):
@@ -451,7 +455,7 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
     def remark_identity():
         for m in (2, 3, 5, 12):
             tally = tally_segment(new_tally(m), segment)
-            if int(checkpoint(tally).scaled_residuals.sum()) != 0:
+            if int(scaled_residuals(tally).sum()) != 0:
                 return False, f"scaled residuals do not sum to zero at m = {m}"
         return True, "scaled residuals sum to zero for m in {2, 3, 5, 12}"
 

@@ -99,10 +99,18 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> complex:
 
 def _euler_product(m: int, k: int, s: complex, table: PrimeTable, factor) -> complex:
     """Multiply factor(zeta_m^k, p^(-s)) over every prime p of the table, in
-    ascending prime order so the rounding is reproducible."""
+    ascending prime order so the rounding is reproducible.
+
+    The primes go _TERM_SLICE at a time, each slice's math.prod starting
+    from the running product: the same multiplications in the same order as
+    one product over all primes, without a Python complex per prime at once.
+    """
     w = complex(root_table(m)[k])
-    p = table.primes.astype(np.float64)
-    return math.prod(factor(w, p ** (-s)).tolist(), start=1.0 + 0j)
+    product = 1.0 + 0j
+    for a in range(0, len(table.primes), _TERM_SLICE):
+        p = table.primes[a : a + _TERM_SLICE].astype(np.float64)
+        product = math.prod(factor(w, p ** (-s)).tolist(), start=product)
+    return product
 
 
 def euler_L(m: int, k: int, s: complex, table: PrimeTable) -> complex:

@@ -2,15 +2,15 @@
 plus least-squares growth exponents.
 
 The tracked quantity is the scaled residual m*N_j(x) - x = m*R_j(x), an
-exact integer (no division by m, no floating subtraction), recorded at a
-geometric schedule of checkpoints.  Growth exponents come from fitting
-log|R| against log x.
+exact integer (no division by m, no floating subtraction), formed from the
+tallies copied at a geometric schedule of checkpoints.  Growth exponents
+come from fitting log|R| against log x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -34,20 +34,6 @@ class InsufficientDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class ErrorCheckpoint:
-    """scaled_residuals[j] = m*N_j(x) - x; exact integers, summing to zero
-    (every n <= x lands in exactly one class)."""
-
-    m: int
-    x: int
-    scaled_residuals: np.ndarray
-
-    def counts(self) -> np.ndarray:
-        """The underlying class counts, reconstructed exactly."""
-        return (self.scaled_residuals + self.x) // self.m
-
-
-@dataclass(frozen=True)
 class GrowthFit:
     """Least-squares slope of log|error| vs log x.
 
@@ -63,14 +49,15 @@ class GrowthFit:
 
 @dataclass
 class CheckpointSeries:
-    """All checkpoints for one modulus, ascending in x."""
+    """Copies of one modulus's tally at each checkpoint, ascending in x."""
 
     m: int
-    checkpoints: list[ErrorCheckpoint] = field(default_factory=list)
+    checkpoints: list[ResidueTally] = field(default_factory=list)
 
 
-def checkpoint(tally: ResidueTally) -> ErrorCheckpoint:
-    """Snapshot the scaled residuals of a 1-anchored tally."""
+def scaled_residuals(tally: ResidueTally) -> np.ndarray:
+    """m*N_j(x) - x for every class j of a 1-anchored tally; exact integers,
+    summing to zero (every n <= x lands in exactly one class)."""
     if tally.lo != 1:
         raise ValueError("checkpoints are defined for tallies anchored at 1")
     if tally.x < 1:
@@ -79,8 +66,7 @@ def checkpoint(tally: ResidueTally) -> ErrorCheckpoint:
         raise OverflowError(
             f"x = {tally.x} too large to form exact m*N - x at m = {tally.m}"
         )
-    scaled = tally.m * tally.counts - tally.x
-    return ErrorCheckpoint(m=tally.m, x=tally.x, scaled_residuals=scaled)
+    return tally.m * tally.counts - tally.x
 
 
 def checkpoint_schedule(x_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
@@ -123,9 +109,9 @@ def record_many(
 
     Each modulus keeps one ResidueTally, fed by tally_segment.  A segment
     with checkpoints inside it is cut at them into pieces that end on a
-    checkpoint; a checkpoint is taken of every tally at the end of its
-    piece.  Each piece is histogrammed once for all the moduli, so an extra
-    modulus costs ~64 adds per piece, not another pass over the values.
+    checkpoint; every tally is copied at the end of its piece.  Each piece
+    is histogrammed once for all the moduli, so an extra modulus costs ~64
+    adds per piece, not another pass over the values.
     """
     tallies = {m: new_tally(m) for m in dict.fromkeys(moduli)}
     if not tallies:
@@ -147,7 +133,7 @@ def record_many(
                 tally_segment(tally, piece)
             if hi == x + 1:
                 for m, tally in tallies.items():
-                    series[m].checkpoints.append(checkpoint(tally))
+                    series[m].checkpoints.append(replace(tally, counts=tally.counts.copy()))
                 next_cp += 1
             lo = hi
     return series
@@ -179,11 +165,11 @@ def _fit_loglog(
 def growth_exponent(series: CheckpointSeries, j: int) -> GrowthFit:
     """Fit log|R_j(x)| against log x over checkpoints where R_j != 0.
 
-    R_j(x) = N_j(x) - x/m is recovered exactly as scaled_residual / m.
+    R_j(x) = N_j(x) - x/m is recovered exactly as scaled_residuals / m.
     """
     if not 0 <= j < series.m:
         raise ValueError(f"need 0 <= j < m, got j={j}, m={series.m}")
-    magnitudes = [abs(int(cp.scaled_residuals[j])) / series.m for cp in series.checkpoints]
+    magnitudes = [abs(int(scaled_residuals(cp)[j])) / series.m for cp in series.checkpoints]
     return _fit_loglog(series, magnitudes, j)
 
 
@@ -193,5 +179,5 @@ def character_growth_exponent(series: CheckpointSeries, k: int) -> GrowthFit:
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     weights = root_table(m)[(np.arange(m) * k) % m]
-    magnitudes = [abs(complex(np.sum(weights * cp.counts()))) for cp in series.checkpoints]
+    magnitudes = [abs(complex(np.sum(weights * cp.counts))) for cp in series.checkpoints]
     return _fit_loglog(series, magnitudes, k)

@@ -98,64 +98,53 @@ def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
     return tally
 
 
-@dataclass(frozen=True)
-class CharacterSumSet:
-    """sums[k] = S_k(x) = sum_{n<=x} exp(2*pi*i*k*Omega(n)/m).
+def sums_from_counts(tally: ResidueTally) -> np.ndarray:
+    """Forward transform: sums[k] = S_k(x) = sum_j zeta_m^(j*k) * counts[j].
 
     sums[0] always equals x exactly: the k = 0 weights are exactly 1 and the
     counts are integers below 2**53.
     """
-
-    m: int
-    x: int
-    sums: np.ndarray
-
-
-def sums_from_counts(tally: ResidueTally) -> CharacterSumSet:
-    """Forward transform: sums[k] = sum_j zeta_m^(j*k) * counts[j]."""
     if tally.lo != 1:
         raise ValueError("character sums are defined for tallies anchored at 1")
     m = tally.m
     jk = np.outer(np.arange(m), np.arange(m)) % m
-    sums = root_table(m)[jk] @ tally.counts.astype(np.complex128)
-    return CharacterSumSet(m=m, x=tally.x, sums=sums)
+    return root_table(m)[jk] @ tally.counts.astype(np.complex128)
 
 
-def _inverse_raw(sums: CharacterSumSet) -> np.ndarray:
-    m = sums.m
+def _inverse(sums: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The pre-rounding inverse transform, with the largest distance of its
+    real parts from integers and its largest absolute imaginary part."""
+    m = len(sums)
     jk = (-np.outer(np.arange(m), np.arange(m))) % m
-    return root_table(m)[jk] @ sums.sums / m
+    raw = root_table(m)[jk] @ sums / m
+    worst_real = float(np.max(np.abs(raw.real - np.rint(raw.real))))
+    return raw, worst_real, float(np.max(np.abs(raw.imag)))
 
 
-def inverse_residuals(sums: CharacterSumSet) -> tuple[float, float]:
+def inverse_residuals(sums: np.ndarray) -> tuple[float, float]:
     """Pre-rounding quality of the inverse transform.
 
     Returns (max distance of the real parts from integers, max absolute
     imaginary part).  Both are ~1e-10 for genuine sums at any realistic x.
     """
-    raw = _inverse_raw(sums)
-    return (
-        float(np.max(np.abs(raw.real - np.rint(raw.real)))),
-        float(np.max(np.abs(raw.imag))),
-    )
+    return _inverse(sums)[1:]
 
 
-def counts_from_sums(sums: CharacterSumSet) -> ResidueTally:
-    """Inverse transform: counts[j] = round((1/m) sum_k zeta_m^(-j*k) sums[k]).
+def counts_from_sums(sums: np.ndarray) -> ResidueTally:
+    """Inverse transform: counts[j] = round((1/m) sum_k zeta_m^(-j*k) sums[k])
+    with m = len(sums); the recovered tally's x is the sum of its counts.
 
     Raises InconsistentTransformError if any pre-rounding value sits farther
     than ROUNDING_TOLERANCE from an integer, or off the real axis by more.
     """
-    raw = _inverse_raw(sums)
-    worst_imag = float(np.max(np.abs(raw.imag)))
+    raw, worst_real, worst_imag = _inverse(sums)
     if worst_imag > ROUNDING_TOLERANCE:
         raise InconsistentTransformError(
             f"imaginary residue {worst_imag:.3e} exceeds {ROUNDING_TOLERANCE:.1e}"
         )
-    rounded = np.rint(raw.real)
-    worst_real = float(np.max(np.abs(raw.real - rounded)))
     if worst_real > ROUNDING_TOLERANCE:
         raise InconsistentTransformError(
             f"rounding residue {worst_real:.3e} exceeds {ROUNDING_TOLERANCE:.1e}"
         )
-    return ResidueTally(m=sums.m, x=sums.x, counts=rounded.astype(np.int64))
+    counts = np.rint(raw.real).astype(np.int64)
+    return ResidueTally(m=len(sums), x=int(counts.sum()), counts=counts)

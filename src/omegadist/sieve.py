@@ -521,30 +521,27 @@ def _fold_sparse(
         np.add.at(words, idx, np.repeat(inc[i:j], c))
 
 
-# Per-process state of a pool worker: its prime tables, so that it sieves
-# each once, not once per submitted block, and a view of the stream's shared
-# block buffer.
-_worker_tables: dict[int, PrimeTable] = {}
+# Per-process state of a pool worker: the table limit, the prime table,
+# sieved on the first block since an error in a pool initializer breaks the
+# pool (a MemoryError would read as a dead worker), and the shared buffer.
+_worker_limit = 2
+_worker_table: PrimeTable | None = None
 _worker_buffer: np.ndarray | None = None
 
 
-def _block_values(lo: int, hi: int, limit: int) -> np.ndarray:
-    table = _worker_tables.get(limit)
-    if table is None:
-        table = primes_up_to(limit)
-        _worker_tables[limit] = table
-    return omega_block(lo, hi, table).values
-
-
-def _attach_buffer(buffer) -> None:
-    """Pool initializer: keep a uint8 view of the shared block buffer."""
-    global _worker_buffer
+def _start_worker(buffer, limit: int) -> None:
+    """Pool initializer: keep the table limit and a view of the buffer."""
+    global _worker_limit, _worker_buffer
+    _worker_limit = limit
     _worker_buffer = np.frombuffer(buffer, dtype=np.uint8)
 
 
-def _sieve_into_buffer(lo: int, hi: int, limit: int, offset: int) -> None:
+def _sieve_into_buffer(lo: int, hi: int, offset: int) -> None:
     """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
-    _worker_buffer[offset : offset + hi - lo] = _block_values(lo, hi, limit)
+    global _worker_table
+    if _worker_table is None:
+        _worker_table = primes_up_to(_worker_limit)
+    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _worker_table).values
 
 
 def segment_bounds(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
@@ -595,18 +592,16 @@ def iter_segments(
     width = min(segment_size, x_max)
     buffer = RawArray("B", slots * width)
     shared = np.frombuffer(buffer, dtype=np.uint8)
-    jobs = (
-        (lo, hi, limit, k % slots * width) for k, (lo, hi) in enumerate(blocks)
-    )
+    jobs = ((lo, hi, k % slots * width) for k, (lo, hi) in enumerate(blocks))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_attach_buffer, initargs=(buffer,)
+        max_workers=workers, initializer=_start_worker, initargs=(buffer, limit)
     ) as pool:
         pending = deque(
             (job, pool.submit(_sieve_into_buffer, *job))
             for job in itertools.islice(jobs, slots)
         )
         while pending:
-            (lo, hi, _, offset), future = pending.popleft()
+            (lo, hi, offset), future = pending.popleft()
             future.result()
             values = shared[offset : offset + hi - lo].copy()
             job = next(jobs, None)

@@ -296,6 +296,10 @@ _TABLE_TOO_HIGH = str(2**32)
             ["hall", "--m", "3", "--x-max", _TABLE_TOO_HIGH],
             f"x-max must be below 2**32, got {_TABLE_TOO_HIGH}",
         ),
+        (
+            ["dirichlet-check", "--m", "2", "--m", "3", "--s", "8.9e307"],
+            "s must keep 3*s finite, got 8.9e+307",
+        ),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
         (
             ["selftest", "--x-limit", "16777217"],
@@ -305,7 +309,7 @@ _TABLE_TOO_HIGH = str(2**32)
     ids=[
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
         "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
-        "dirichlet-p-max-2^32", "hall-x-max-2^32", "selftest-x-limit",
+        "dirichlet-p-max-2^32", "hall-x-max-2^32", "dirichlet-s-overflow", "selftest-x-limit",
         "selftest-x-limit-2^24",
     ],
 )
@@ -359,14 +363,14 @@ def test_output_io_error(capsys):
     assert "i/o" in err.lower()
 
 
-def _die_in_worker(lo, hi, limit):
+def _die_in_worker(lo, hi, table):
     os._exit(1)
 
 
 def test_worker_crash_exits_4(capsys, monkeypatch):
     # Forked pool workers inherit the patched sieve and die on their first
     # block; the parent must report that as exit 4, not a traceback.
-    monkeypatch.setattr(sieve, "_block_values", _die_in_worker)
+    monkeypatch.setattr(sieve, "omega_block", _die_in_worker)
     code, out, err = run_cli(
         capsys, "density", "--m", "3", "--x-max", "5000", "--workers", "2",
         "--segment-size", "1024",
@@ -387,12 +391,20 @@ def test_worker_crash_exits_4(capsys, monkeypatch):
             "Unable to allocate 9.09 TiB for an array",
         ),
         (dirichlet, ["dirichlet-check", "--m", "3"], MemoryError(), "allocation failed"),
+        (
+            sieve,
+            ["density", "--m", "3", "--x-max", "5000", "--workers", "2"],
+            MemoryError("Unable to allocate 781. MiB for an array"),
+            "Unable to allocate 781. MiB for an array",
+        ),
     ],
-    ids=["hall", "dirichlet-check"],
+    ids=["hall", "dirichlet-check", "density-workers"],
 )
 def test_out_of_memory_exits_2(capsys, monkeypatch, module, argv, error, message):
     # A real allocation of that size must not be attempted here: with memory
     # overcommit it succeeds, and the OOM killer ends the test run instead.
+    # With --workers, forked workers inherit the patch: a worker's MemoryError
+    # must reach the parent as one, not as a pool broken by its initializer.
     def fail(limit):
         raise error
 

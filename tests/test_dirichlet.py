@@ -142,6 +142,32 @@ def test_euler_products_multiply_left_to_right():
             assert euler_L(m, k, 2.0, table) == expected
 
 
+def test_euler_products_across_slices_match_one_product():
+    # More primes than two slices, the last one short: the sliced products
+    # equal one math.prod over every factor, bit for bit.
+    table = primes_up_to(2_000_000)
+    assert 2 * dirichlet._TERM_SLICE < len(table.primes) < 3 * dirichlet._TERM_SLICE
+    p = table.primes.astype(np.float64)
+    for m, k, s in [(3, 1, 2.0), (12, 5, 1.5)]:
+        w = complex(root_table(m)[k])
+        z = p ** -complex(s)
+        expected = math.prod((1.0 / (1.0 - w * z)).tolist(), start=1.0 + 0j)
+        assert euler_L(m, k, s, table) == expected
+        z = p ** -s
+        g = np.exp(w * np.log1p(-z)) / (1.0 - w * z)
+        assert euler_G(m, k, s, table) == math.prod(g.tolist(), start=1.0 + 0j)
+
+
+def test_euler_product_to_10_to_8_stays_small(peak_rss_growth_mb):
+    # The table is 23 MB of uint32; a complex array and a Python complex
+    # per prime, all at once, added 376 MB.
+    statement = (
+        "from omegadist.dirichlet import euler_L; "
+        "euler_L(3, 1, 2.0, primes_up_to(10**8))"
+    )
+    assert peak_rss_growth_mb(statement) < 50
+
+
 def test_euler_L_validates():
     table = primes_up_to(100)
     with pytest.raises(ValueError, match="limit must be >= 2"):

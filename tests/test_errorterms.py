@@ -12,47 +12,44 @@ from omegadist.errorterms import (
     DEFAULT_RATIO,
     MAX_CHECKPOINTS,
     CheckpointSeries,
-    ErrorCheckpoint,
     InsufficientDataError,
     character_growth_exponent,
-    checkpoint,
     checkpoint_schedule,
     growth_exponent,
     record_many,
+    scaled_residuals,
 )
 from omegadist.residues import ResidueTally, new_tally, tally_segment
 from omegadist.sieve import omega_block, omega_histogram, primes_up_to, segment_bounds
 
 
 def test_checkpoint_known_example(tally_of):
-    cp = checkpoint(tally_of(3, 20))
-    assert cp.scaled_residuals.tolist() == [-5, 7, -2]
-    assert cp.counts().tolist() == [5, 9, 6]
+    cp = tally_of(3, 20)
+    assert scaled_residuals(cp).tolist() == [-5, 7, -2]
+    assert cp.counts.tolist() == [5, 9, 6]
 
 
 def test_checkpoint_m1_is_identically_zero(tally_of):
-    cp = checkpoint(tally_of(1, 500))
-    assert cp.scaled_residuals.tolist() == [0]
+    assert scaled_residuals(tally_of(1, 500)).tolist() == [0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
 def test_scaled_residuals_sum_to_zero(m, tally_of):
-    cp = checkpoint(tally_of(m, 4096))
-    assert int(cp.scaled_residuals.sum()) == 0
+    assert int(scaled_residuals(tally_of(m, 4096)).sum()) == 0
 
 
 def test_checkpoint_requires_anchored_nonempty_tally():
     with pytest.raises(ValueError):
-        checkpoint(new_tally(3))  # empty
+        scaled_residuals(new_tally(3))  # empty
     delta = ResidueTally(m=3, x=30, counts=np.array([4, 3, 3]), lo=21)
     with pytest.raises(ValueError):
-        checkpoint(delta)
+        scaled_residuals(delta)
 
 
 def test_checkpoint_overflow_guard():
     huge = ResidueTally(m=4, x=2**61, counts=np.zeros(4, dtype=np.int64))
     with pytest.raises(OverflowError):
-        checkpoint(huge)
+        scaled_residuals(huge)
 
 
 def test_schedule_examples():
@@ -100,8 +97,7 @@ def test_record_series_matches_fresh_tallies(tally_of):
     schedule = checkpoint_schedule(10_000)
     assert [cp.x for cp in series.checkpoints] == schedule
     for cp in (series.checkpoints[0], series.checkpoints[7], series.checkpoints[-1]):
-        fresh = checkpoint(tally_of(5, cp.x))
-        assert np.array_equal(cp.scaled_residuals, fresh.scaled_residuals)
+        assert np.array_equal(cp.counts, tally_of(5, cp.x).counts)
 
 
 def test_record_series_segment_size_invisible():
@@ -109,7 +105,7 @@ def test_record_series_segment_size_invisible():
     b = record_many([3], 5000, segment_size=1031)[3]  # prime-sized blocks
     for cpa, cpb in zip(a.checkpoints, b.checkpoints):
         assert cpa.x == cpb.x
-        assert np.array_equal(cpa.scaled_residuals, cpb.scaled_residuals)
+        assert np.array_equal(cpa.counts, cpb.counts)
 
 
 def test_record_many_single_pass_consistency():
@@ -118,7 +114,7 @@ def test_record_many_single_pass_consistency():
         solo = record_many([m], 3000)[m]
         assert [c.x for c in bundle[m].checkpoints] == [c.x for c in solo.checkpoints]
         for ca, cb in zip(bundle[m].checkpoints, solo.checkpoints):
-            assert np.array_equal(ca.scaled_residuals, cb.scaled_residuals)
+            assert np.array_equal(ca.counts, cb.counts)
 
 
 @pytest.mark.parametrize("x_max", [10, 11, 100, 5000])
@@ -135,7 +131,7 @@ def test_record_many_cuts_segments_at_checkpoints(segment_size, x_max):
         assert xs == checkpoint_schedule(x_max)
         for cp in series[m].checkpoints:
             fresh = tally_segment(new_tally(m), omega_block(1, cp.x + 1, table))
-            assert cp.counts().tolist() == fresh.counts.tolist()
+            assert cp.counts.tolist() == fresh.counts.tolist()
 
 
 def test_record_many_histograms_each_piece_once(monkeypatch):
@@ -163,18 +159,25 @@ def test_record_many_validates():
         record_many([0], 1000)
 
 
+def tally_with_residuals(m, x, scaled):
+    """The tally of 1..x whose scaled residuals m*N_j - x are scaled; x and
+    every residual are multiples of m, so the counts are integers."""
+    scaled = np.asarray(scaled, dtype=np.int64)
+    assert x % m == 0 and not (scaled % m).any()
+    return ResidueTally(m=m, x=x, counts=(scaled + x) // m)
+
+
 def synthetic_series(m, alpha):
-    """Checkpoints whose class-0 residual is exactly m * x^alpha (class 1
-    balances it so the zero-sum invariant holds)."""
+    """Checkpoints whose class-0 scaled residual is exactly m * round(x^alpha)
+    (class 1 balances it so the zero-sum invariant holds)."""
     series = CheckpointSeries(m=m)
     for x in checkpoint_schedule(10_000):
-        r = int(round(m * x**alpha))
+        xm = m * (x // m + 1)  # keep x divisible by m so counts are integral
+        r = m * round(xm**alpha)
         scaled = np.zeros(m, dtype=np.int64)
         scaled[0] = r
         scaled[1] = -r
-        series.checkpoints.append(
-            ErrorCheckpoint(m=m, x=x, scaled_residuals=scaled)
-        )
+        series.checkpoints.append(tally_with_residuals(m, xm, scaled))
     return series
 
 
@@ -208,7 +211,7 @@ def test_character_growth_exponent_synthetic():
         x4 = 4 * (x // 4 + 1)  # keep x divisible by m so counts are integral
         r = int(round(x4**0.7))
         scaled = np.array([4 * r, 0, -4 * r, 0], dtype=np.int64)
-        series.checkpoints.append(ErrorCheckpoint(m=m, x=x4, scaled_residuals=scaled))
+        series.checkpoints.append(tally_with_residuals(m, x4, scaled))
     fit = character_growth_exponent(series, 1)
     assert fit.alpha_hat == pytest.approx(0.7, abs=0.02)
 
@@ -242,9 +245,7 @@ def test_character_growth_validates_k():
 def test_insufficient_checkpoints():
     short = CheckpointSeries(m=2)
     for x in (10, 20, 30):
-        short.checkpoints.append(
-            ErrorCheckpoint(m=2, x=x, scaled_residuals=np.array([2, -2]))
-        )
+        short.checkpoints.append(tally_with_residuals(2, x, [2, -2]))
     with pytest.raises(InsufficientDataError):
         growth_exponent(short, 0)
 
