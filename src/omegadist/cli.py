@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 tolerance or self-check failure, or too few
 nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
 error (including a NaN flag value, a ratio that is not finite and above 1,
 with or without hall's x-max, an x_max of 2**64 or more, a hall x-max or
-dirichlet-check p-max of 2**32 or more, a dirichlet-check s whose 2*s or
-m*s overflows, a selftest x-limit above 2**24, and a run too large to fit
-in memory), 3 I/O error, 4 a sieve worker process died.
+dirichlet-check p-max of 2**32 or more, a dirichlet-check s whose 2*s,
+m*s or s*log n overflows, a race modulus above 64, a selftest x-limit
+above 2**24, and a run too large to fit in memory), 3 I/O error, 4 a sieve
+worker process died.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from .dirichlet import (
+    DEFAULT_ZETA_TERMS,
     check_g_product,
     check_identity_product,
     check_lquo,
@@ -282,6 +284,11 @@ def cmd_dirichlet_check(args) -> int:
     scale = max(2, *moduli)  # the identities evaluate zeta(2s) and zeta(m*s)
     if math.isinf(scale * args.s):
         raise ValueError(f"s must keep {scale}*s finite, got {args.s}")
+    # Every term is n^(-t) with t <= scale*s and n <= top; where t*log(n)
+    # overflows, numpy's complex power warns instead of underflowing to 0.
+    top = max(args.n_max, args.p_max, DEFAULT_ZETA_TERMS)
+    if math.isinf(scale * args.s * math.log(top)):
+        raise ValueError(f"s must keep {scale}*s*log({top}) finite, got {args.s}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     if args.n_max >= 1 << 64:

@@ -126,9 +126,7 @@ def record_many(
         while lo < segment.hi:
             x = schedule[next_cp]
             hi = min(x + 1, segment.hi)
-            piece = segment
-            if (lo, hi) != (segment.lo, segment.hi):
-                piece = OmegaSegment(lo, hi, segment.values[lo - base : hi - base])
+            piece = OmegaSegment(lo, hi, segment.values[lo - base : hi - base])
             for tally in tallies.values():
                 tally_segment(tally, piece)
             if hi == x + 1:

@@ -26,7 +26,8 @@ below 10^7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +42,10 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 # arrays stay a small fraction of a segment.
 SUB_BLOCK = 1024
 
+# Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
+# all-pairs list grows as m^2.
+MAX_MODULUS = 64
+
 
 @dataclass(frozen=True)
 class RaceEvent:
@@ -52,93 +57,66 @@ class RaceEvent:
 
 @dataclass
 class RaceSummary:
-    """Full scan result for one ordered pair (j, jprime)."""
+    """Scan result for one ordered pair (j, jprime), and the running state
+    of the scan while it is fed: final_delta is then the current Delta."""
 
     m: int
     j: int
     jprime: int
     x_max: int
-    events: list[RaceEvent]
-    lead_pos: int   # integers n <= x_max with Delta(n) > 0
-    lead_neg: int   # ... with Delta(n) < 0
-    lead_tie: int   # ... with Delta(n) == 0
-    final_delta: int
+    events: list[RaceEvent] = field(default_factory=list)
+    lead_pos: int = 0   # integers n <= x_max with Delta(n) > 0
+    lead_neg: int = 0   # ... with Delta(n) < 0
+    lead_tie: int = 0   # ... with Delta(n) == 0
+    final_delta: int = 0
+    last_sign: int = 0  # sign of the last nonzero Delta, 0 before the first
 
 
-class _PairScanner:
-    """Streaming state for one pair: running Delta, last strict sign, events."""
+def _feed(race: RaceSummary, residues: np.ndarray, lo: int) -> None:
+    """Per-n scan of residues, the classes of lo, lo + 1, ..."""
+    steps = (residues == race.j).astype(np.int64) - (residues == race.jprime)
+    path = race.final_delta + np.cumsum(steps)
+    race.lead_pos += int(np.count_nonzero(path > 0))
+    race.lead_neg += int(np.count_nonzero(path < 0))
+    race.lead_tie += int(np.count_nonzero(path == 0))
+    nonzero = np.flatnonzero(path)
+    if len(nonzero):
+        signs = np.sign(path[nonzero])
+        previous = np.empty(len(signs), dtype=np.int64)
+        # An initial zero stretch has no sign to flip from.
+        previous[0] = race.last_sign if race.last_sign != 0 else signs[0]
+        previous[1:] = signs[:-1]
+        for i in np.flatnonzero(signs != previous):
+            direction = NEGATIVE_TO_POSITIVE if signs[i] > 0 else POSITIVE_TO_NEGATIVE
+            race.events.append(RaceEvent(x=lo + int(nonzero[i]), direction=direction))
+        race.last_sign = int(signs[-1])
+    race.final_delta = int(path[-1])
 
-    def __init__(self, m: int, j: int, jprime: int):
-        self.m = m
-        self.j = j
-        self.jprime = jprime
-        self.delta = 0
-        self.last_sign = 0
-        self.events: list[RaceEvent] = []
-        self.lead_pos = 0
-        self.lead_neg = 0
-        self.lead_tie = 0
 
-    def feed(self, residues: np.ndarray, lo: int) -> None:
-        steps = (residues == self.j).astype(np.int64) - (
-            residues == self.jprime
-        ).astype(np.int64)
-        path = self.delta + np.cumsum(steps)
-        self.lead_pos += int(np.count_nonzero(path > 0))
-        self.lead_neg += int(np.count_nonzero(path < 0))
-        self.lead_tie += int(np.count_nonzero(path == 0))
-        nonzero = np.flatnonzero(path)
-        if len(nonzero):
-            signs = np.sign(path[nonzero])
-            previous = np.empty(len(signs), dtype=np.int64)
-            # An initial zero stretch has no sign to flip from.
-            previous[0] = self.last_sign if self.last_sign != 0 else signs[0]
-            previous[1:] = signs[:-1]
-            for i in np.flatnonzero(signs != previous):
-                direction = (
-                    NEGATIVE_TO_POSITIVE if signs[i] > 0 else POSITIVE_TO_NEGATIVE
-                )
-                self.events.append(RaceEvent(x=lo + int(nonzero[i]), direction=direction))
-            self.last_sign = int(signs[-1])
-        self.delta = int(path[-1]) if len(path) else self.delta
-
-    def feed_blocks(
-        self, residues: np.ndarray, lo: int, counts: np.ndarray, lengths: np.ndarray
-    ) -> None:
-        """Scan one segment given its per-sub-block class counts: skip the
-        sub-blocks where Delta cannot reach zero, feed the rest in runs."""
-        cj, cjp = counts[:, self.j], counts[:, self.jprime]
-        ends = self.delta + np.cumsum(cj - cjp)
-        starts = ends - (cj - cjp)
-        skip = (starts > cjp) | (starts < -cj)
-        self.lead_pos += int(lengths[skip & (starts > 0)].sum())
-        self.lead_neg += int(lengths[skip & (starts < 0)].sum())
-        # Maximal runs [a, b) of sub-blocks that need the per-n scan.
-        edges = np.flatnonzero(np.diff(skip, prepend=True, append=True))
-        # A skipped sub-block keeps the sign Delta had just before it, so
-        # last_sign, set by the run that precedes it, needs no update.
-        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
-            self.delta = int(starts[a])
-            self.feed(residues[a * SUB_BLOCK : b * SUB_BLOCK], lo + a * SUB_BLOCK)
-        self.delta = int(ends[-1])
-
-    def summary(self, x_max: int) -> RaceSummary:
-        return RaceSummary(
-            m=self.m,
-            j=self.j,
-            jprime=self.jprime,
-            x_max=x_max,
-            events=self.events,
-            lead_pos=self.lead_pos,
-            lead_neg=self.lead_neg,
-            lead_tie=self.lead_tie,
-            final_delta=self.delta,
-        )
+def _feed_blocks(
+    race: RaceSummary, residues: np.ndarray, lo: int, counts: np.ndarray, lengths: np.ndarray
+) -> None:
+    """Scan one segment given its per-sub-block class counts: skip the
+    sub-blocks where Delta cannot reach zero, feed the rest in runs."""
+    cj, cjp = counts[:, race.j], counts[:, race.jprime]
+    ends = race.final_delta + np.cumsum(cj - cjp)
+    starts = ends - (cj - cjp)
+    skip = (starts > cjp) | (starts < -cj)
+    race.lead_pos += int(lengths[skip & (starts > 0)].sum())
+    race.lead_neg += int(lengths[skip & (starts < 0)].sum())
+    # Maximal runs [a, b) of sub-blocks that need the per-n scan.
+    edges = np.flatnonzero(np.diff(skip, prepend=True, append=True))
+    # A skipped sub-block keeps the sign Delta had just before it, so
+    # last_sign, set by the run that precedes it, needs no update.
+    for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        race.final_delta = int(starts[a])
+        _feed(race, residues[a * SUB_BLOCK : b * SUB_BLOCK], lo + a * SUB_BLOCK)
+    race.final_delta = int(ends[-1])
 
 
 def _scan(
     m: int,
-    pairs: list[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
     x_max: int,
     *,
     segment_size: int,
@@ -146,12 +124,9 @@ def _scan(
 ) -> list[RaceSummary]:
     if m < 2:
         raise ValueError(f"need m >= 2 to race two classes, got {m}")
-    for j, jprime in pairs:
-        if not (0 <= j < m and 0 <= jprime < m):
-            raise ValueError(f"classes out of range: j={j}, jprime={jprime}, m={m}")
-        if j == jprime:
-            raise ValueError(f"classes must differ, got j = jprime = {j}")
-    scanners = [_PairScanner(m, j, jprime) for j, jprime in pairs]
+    if m > MAX_MODULUS:
+        raise ValueError(f"race modulus must be at most {MAX_MODULUS}, got {m}")
+    races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
     lut = residue_lut(m).astype(np.uint8)
     offsets = np.empty(0, dtype=np.intp)
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
@@ -163,11 +138,11 @@ def _scan(
         blocks = -(-n // SUB_BLOCK)
         counts = np.bincount(residues + offsets[:n], minlength=blocks * m)
         counts = counts.reshape(blocks, m)
-        lengths = np.full(blocks, SUB_BLOCK, dtype=np.int64)
-        lengths[-1] = n - (blocks - 1) * SUB_BLOCK
-        for scanner in scanners:
-            scanner.feed_blocks(residues, segment.lo, counts, lengths)
-    return [scanner.summary(x_max) for scanner in scanners]
+        # Every n falls in exactly one class.
+        lengths = counts.sum(axis=1)
+        for race in races:
+            _feed_blocks(race, residues, segment.lo, counts, lengths)
+    return races
 
 
 def race_scan(
@@ -180,6 +155,10 @@ def race_scan(
     workers: int = 1,
 ) -> RaceSummary:
     """Scan Delta(x) = N_j(x) - N_j'(x) for x <= x_max."""
+    if not (0 <= j < m and 0 <= jprime < m):
+        raise ValueError(f"classes out of range: j={j}, jprime={jprime}, m={m}")
+    if j == jprime:
+        raise ValueError(f"classes must differ, got j = jprime = {j}")
     return _scan(m, [(j, jprime)], x_max, segment_size=segment_size, workers=workers)[0]
 
 
@@ -191,5 +170,6 @@ def all_pairs(
     workers: int = 1,
 ) -> list[RaceSummary]:
     """Race every unordered pair j < jprime in one sieve pass."""
-    pairs = [(j, jprime) for j in range(m) for jprime in range(j + 1, m)]
+    # A generator, so no pair is made before _scan has bounded m.
+    pairs = ((j, jprime) for j in range(m) for jprime in range(j + 1, m))
     return _scan(m, pairs, x_max, segment_size=segment_size, workers=workers)

@@ -300,6 +300,15 @@ _TABLE_TOO_HIGH = str(2**32)
             ["dirichlet-check", "--m", "2", "--m", "3", "--s", "8.9e307"],
             "s must keep 3*s finite, got 8.9e+307",
         ),
+        (
+            ["dirichlet-check", "--m", "2", "--s", "8.9e307", "--n-max", "1000"],
+            "s must keep 2*s*log(100000) finite, got 8.9e+307",
+        ),
+        (
+            ["dirichlet-check", "--m", "12", "--s", "1.4e307", "--n-max", "10", "--p-max", "10"],
+            "s must keep 12*s*log(100000) finite, got 1.4e+307",
+        ),
+        (["race", "--m", "65", "--x-max", "100"], "race modulus must be at most 64, got 65"),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
         (
             ["selftest", "--x-limit", "16777217"],
@@ -309,7 +318,8 @@ _TABLE_TOO_HIGH = str(2**32)
     ids=[
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
         "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
-        "dirichlet-p-max-2^32", "hall-x-max-2^32", "dirichlet-s-overflow", "selftest-x-limit",
+        "dirichlet-p-max-2^32", "hall-x-max-2^32", "dirichlet-s-overflow",
+        "dirichlet-s-log-n-overflow", "dirichlet-ms-log-n-overflow", "race-m-65", "selftest-x-limit",
         "selftest-x-limit-2^24",
     ],
 )

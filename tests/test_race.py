@@ -24,6 +24,7 @@ def test_hand_traced_m2():
     # 1, 0, -1, 0, -1, 0, -1, -2, -1, 0
     summary = race_scan(2, 0, 1, 10)
     assert summary.final_delta == 0
+    assert summary.last_sign == -1  # the last nonzero Delta, at n = 9
     assert summary.lead_pos == 1
     assert summary.lead_neg == 5
     assert summary.lead_tie == 4
@@ -101,7 +102,7 @@ def _reference_race(omegas, m, j, jprime):
                 direction = NEGATIVE_TO_POSITIVE if sign > 0 else POSITIVE_TO_NEGATIVE
                 events.append((n, direction))
             last_sign = sign
-    return events, (leads[1], leads[-1], leads[0]), delta
+    return events, (leads[1], leads[-1], leads[0]), delta, last_sign
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -109,10 +110,11 @@ def test_all_pairs_matches_per_n_reference(m):
     x_max = 5000  # several 1024-blocks, so the scan state crosses boundaries
     omegas = [omega_single(n) for n in range(1, x_max + 1)]
     for summary in all_pairs(m, x_max, segment_size=1024):
-        events, leads, delta = _reference_race(omegas, m, summary.j, summary.jprime)
+        events, leads, delta, last_sign = _reference_race(omegas, m, summary.j, summary.jprime)
         assert [(e.x, e.direction) for e in summary.events] == events
         assert (summary.lead_pos, summary.lead_neg, summary.lead_tie) == leads
         assert summary.final_delta == delta
+        assert summary.last_sign == last_sign
 
 
 def test_all_pairs_enumeration():
@@ -145,6 +147,10 @@ def test_validation_errors():
         race_scan(1, 0, 0, 100)
     with pytest.raises(ValueError):
         race_scan(3, 0, 1, 0)
+    with pytest.raises(ValueError):
+        race_scan(65, 0, 1, 100)
+    with pytest.raises(ValueError):
+        all_pairs(65, 100)
 
 
 def _cumsum_reference(omegas, m, j, jprime):
@@ -160,7 +166,8 @@ def _cumsum_reference(omegas, m, j, jprime):
         for i in np.flatnonzero(signs[1:] != signs[:-1]) + 1
     ]
     leads = tuple(int(np.count_nonzero(test)) for test in (path > 0, path < 0, path == 0))
-    return events, leads, int(path[-1])
+    last_sign = int(signs[-1]) if len(signs) else 0
+    return events, leads, int(path[-1]), last_sign
 
 
 def _patch_stream(monkeypatch, omegas, segment_size):
@@ -182,10 +189,11 @@ def _patch_stream(monkeypatch, omegas, segment_size):
 
 def _assert_matches(summaries, omegas, m, reference):
     for summary in summaries:
-        events, leads, delta = reference(omegas, m, summary.j, summary.jprime)
+        events, leads, delta, last_sign = reference(omegas, m, summary.j, summary.jprime)
         assert [(e.x, e.direction) for e in summary.events] == events
         assert (summary.lead_pos, summary.lead_neg, summary.lead_tie) == leads
         assert summary.final_delta == delta
+        assert summary.last_sign == last_sign
 
 
 def _walk(*runs):
@@ -305,13 +313,13 @@ def test_one_sided_skip_edges_match_reference(m, name, segment_size, monkeypatch
 def _fed_lengths(monkeypatch):
     """Patch the per-n scan to record the length of every run it gets."""
     fed = []
-    feed = race._PairScanner.feed
+    feed = race._feed
 
-    def counting_feed(self, residues, lo):
+    def counting_feed(summary, residues, lo):
         fed.append(len(residues))
-        feed(self, residues, lo)
+        feed(summary, residues, lo)
 
-    monkeypatch.setattr(race._PairScanner, "feed", counting_feed)
+    monkeypatch.setattr(race, "_feed", counting_feed)
     return fed
 
 
