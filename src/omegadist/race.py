@@ -8,20 +8,21 @@ the first nonzero value sets the starting sign and is not an event.
 
 The scan has two levels.  Each sieve segment is cut into sub-blocks of
 SUB_BLOCK integers (the last one shorter when the segment length is not a
-multiple), and one bincount gives the count of every class in every
-sub-block, for all pairs at once.  For one pair, let D be Delta just before
-a sub-block and c, c' the counts of j and j' in it.  Inside the sub-block
-Delta stays within [D - c', D + c], so where D > c' or D < -c it never
-reaches zero: every n in the sub-block has the sign of D, there is no event
-and no tie, and the last strict sign stays sign(D), which Delta already had
-just before the sub-block.  Such a sub-block only adds its length to one
-lead.  The test is exact, not a heuristic; the other sub-blocks, in
-contiguous runs, go through the per-n scan.  Once |Delta| outgrows a
-sub-block, which happens early for m > 2, almost every sub-block is skipped
-and the cost per pair falls from O(x) to O(x / SUB_BLOCK).  Each side of
-the test needs only one class count, which matters at m = 2: there c + c'
-is the whole sub-block, while |Delta| stays near a sub-block's length
-below 10^7.
+multiple).  One bincount per COUNT_SLICE values counts each Omega value in
+every sub-block, and the 64 values fold onto the m classes, for all pairs
+at once.  For one pair, let D be Delta just before a sub-block and c, c'
+the counts of j and j' in it.  Inside the sub-block Delta stays within
+[D - c', D + c], so where D > c' or D < -c it never reaches zero: every n
+in the sub-block has the sign of D, there is no event and no tie, and the
+last strict sign stays sign(D), which Delta already had just before the
+sub-block.  Such a sub-block only adds its length to one lead.  The test is
+exact, not a heuristic; the other sub-blocks, in contiguous runs, go
+through the per-n scan, which alone reads each value's class.  Once |Delta|
+outgrows a sub-block, which happens early for m > 2, almost every
+sub-block is skipped and the cost per pair falls from O(x) to
+O(x / SUB_BLOCK).  Each side of the test needs only one class count, which
+matters at m = 2: there c + c' is the whole sub-block, while |Delta| stays
+near a sub-block's length below 10^7.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 # exceeds a sub-block's class counts, long enough that the per-sub-block
 # arrays stay a small fraction of a segment.
 SUB_BLOCK = 1024
+
+# Values per bincount of the sub-block counts, a multiple of SUB_BLOCK: its
+# keys and offsets take 8 bytes a value, whatever the segment size.
+COUNT_SLICE = 1 << 20
 
 # Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
 # all-pairs list grows as m^2.
@@ -94,10 +99,16 @@ def _feed(race: RaceSummary, residues: np.ndarray, lo: int) -> None:
 
 
 def _feed_blocks(
-    race: RaceSummary, residues: np.ndarray, lo: int, counts: np.ndarray, lengths: np.ndarray
+    race: RaceSummary,
+    values: np.ndarray,
+    lut: np.ndarray,
+    lo: int,
+    counts: np.ndarray,
+    lengths: np.ndarray,
 ) -> None:
-    """Scan one segment given its per-sub-block class counts: skip the
-    sub-blocks where Delta cannot reach zero, feed the rest in runs."""
+    """Scan one segment of Omega values given its per-sub-block class
+    counts: skip the sub-blocks where Delta cannot reach zero, feed the
+    rest in runs, reading the classes of a run through lut."""
     cj, cjp = counts[:, race.j], counts[:, race.jprime]
     ends = race.final_delta + np.cumsum(cj - cjp)
     starts = ends - (cj - cjp)
@@ -110,8 +121,30 @@ def _feed_blocks(
     # last_sign, set by the run that precedes it, needs no update.
     for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
         race.final_delta = int(starts[a])
-        _feed(race, residues[a * SUB_BLOCK : b * SUB_BLOCK], lo + a * SUB_BLOCK)
+        run = values[a * SUB_BLOCK : b * SUB_BLOCK]
+        _feed(race, lut[run], lo + a * SUB_BLOCK)
     race.final_delta = int(ends[-1])
+
+
+def _sub_block_counts(values: np.ndarray, m: int, offsets: np.ndarray) -> np.ndarray:
+    """counts[b, j] = #{i in sub-block b : values[i] = j (mod m)}, as int64.
+
+    Slices of at most len(offsets) values, a multiple of SUB_BLOCK, are
+    counted by one bincount each of values + offsets, where offsets[i] =
+    64 * (i // SUB_BLOCK) puts the 64 Omega values of each sub-block in
+    their own row; the 64 columns then fold onto the m classes.
+    """
+    full = 64 // m * m
+    pieces = []
+    for a in range(0, len(values), len(offsets)):
+        piece = values[a : a + len(offsets)]
+        blocks = -(-len(piece) // SUB_BLOCK)
+        hist = np.bincount(piece + offsets[: len(piece)], minlength=blocks * 64)
+        hist = hist.reshape(blocks, 64)
+        counts = hist[:, :full].reshape(blocks, -1, m).sum(axis=1)
+        counts[:, : 64 - full] += hist[:, full:]
+        pieces.append(counts)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _scan(
@@ -130,18 +163,16 @@ def _scan(
     lut = residue_lut(m).astype(np.uint8)
     offsets = np.empty(0, dtype=np.intp)
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        residues = lut[segment.values]
-        n = len(residues)
-        if len(offsets) < n:
-            # offsets[i] = m * (i // SUB_BLOCK), shared by equal segments.
-            offsets = np.arange(n, dtype=np.intp) // SUB_BLOCK * m
-        blocks = -(-n // SUB_BLOCK)
-        counts = np.bincount(residues + offsets[:n], minlength=blocks * m)
-        counts = counts.reshape(blocks, m)
+        values = segment.values
+        size = min(len(values), COUNT_SLICE)
+        if len(offsets) < size:
+            # offsets[i] = 64 * (i // SUB_BLOCK), shared by equal segments.
+            offsets = np.arange(size, dtype=np.intp) // SUB_BLOCK * 64
+        counts = _sub_block_counts(values, m, offsets)
         # Every n falls in exactly one class.
         lengths = counts.sum(axis=1)
         for race in races:
-            _feed_blocks(race, residues, segment.lo, counts, lengths)
+            _feed_blocks(race, values, lut, segment.lo, counts, lengths)
     return races
 
 

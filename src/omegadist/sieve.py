@@ -30,9 +30,8 @@ three ascending groups, the primes up to its root, their squares and the
 cached higher powers below hi, each with one modulo for the offset of its
 first multiple.  Prime powers that hit a block many times are marked with
 one strided slice each.  The many large primes of a high block hit it only
-a few times each; their hit indices are expanded and folded with np.add.at
-in one vectorized pass, the bucket-sieve idea of the same paper written in
-numpy.
+a few times each; np.add.at folds them round by round, carrying each
+power's next multiple, the bucket-sieve idea of the same paper in numpy.
 
 The prime tables themselves come from a segmented sieve of Eratosthenes
 over the odd numbers, pre-sieved from the odd half of the same pattern,
@@ -86,9 +85,9 @@ _PATTERN_PERIOD = 120120
 # of 3, 5, 7, 11 and 13.
 _PRIME_SEGMENT = 1 << 18
 
-# The vectorized pass expands about block_length / _CHUNK_DIVISOR hits at a
-# time, so its index temporaries stay a small fraction of the block.
-_CHUNK_DIVISOR = 64
+# The sparse fold adds a hit of every power per round while this many
+# powers can still hit, and then expands the last few powers' hits at once.
+_ROUND_MIN = 256
 
 # Bounds on a stream's worker count and block length, checked before any
 # process starts: a pooled stream shares (workers + 2) * segment_size bytes
@@ -393,7 +392,8 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     # Allocated before the counter words, so that freeing those leaves no
     # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
-    words = _tile_pattern(lo, n)
+    # One spare word past the block takes the sparse fold's overshoots.
+    words = _tile_pattern(lo, n + 1)
     for q, start, inc in _prime_powers(lo, hi, table):
         # A needle of q's dtype; a Python int would cast all of q.
         dense = int(np.searchsorted(q, q.dtype.type(n // _DENSE_HITS), side="right"))
@@ -403,7 +403,7 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
             words[first::step] += add
         _fold_sparse(words, q[dense:], start[dense:], inc[dense:])
     # The low byte of a word is its hit count, which stays below 64.
-    np.copyto(values, words, casting="unsafe")
+    np.copyto(values, words[:n], casting="unsafe")
     a = lo
     while a < hi:
         b = min(hi, max(a + 1, math.isqrt(2 * a * a)))
@@ -492,33 +492,38 @@ def _first_hits(
 def _fold_sparse(
     words: np.ndarray, q: np.ndarray, start: np.ndarray, inc: np.ndarray
 ) -> None:
-    """Add inc[i] at start[i], start[i] + q[i], ... for every i, where each
-    q[i] hits the block at most _DENSE_HITS times.
+    """Add inc[i] at start[i], start[i] + q[i], ... below n = len(words) - 1
+    for every i, where q ascends and each q[i] hits at most _DENSE_HITS
+    times; the spare word words[n] takes the rounds' overshoots.
 
-    The hit indices are expanded in chunks of about len(words) /
-    _CHUNK_DIVISOR and folded with np.add.at, which, unlike a fancy-index
-    +=, adds once for every hit where several powers hit the same index.
+    Round r adds the r-th multiple past the first of the powers with
+    q <= (n - 1) / r, a prefix of q, through np.add.at, which, unlike a
+    fancy-index +=, adds once for every hit where several powers hit the
+    same index.
     """
-    if not len(q):
-        return
-    n = len(words)
+    n = len(words) - 1
     # A power >= n hits once; stepping by n leaves the block all the same
     # and keeps the index arithmetic in int64.
     step = np.minimum(q, np.uint64(n)).view(np.int64)
-    counts = n - 1 - start
-    counts //= step
-    counts += 1
-    ends = np.cumsum(counts)
-    chunk = max(n // _CHUNK_DIVISOR, _DENSE_HITS)
-    cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="right")
-    # No power has more than chunk hits, so every chunk is non-empty and
-    # holds fewer than 2 * chunk hits.
-    for i, j in itertools.pairwise([0, *cuts.tolist(), len(q)]):
-        c = counts[i:j]
-        offset = np.cumsum(c) - c
-        idx = np.repeat(start[i:j] - offset * step[i:j], c)
-        idx += np.arange(len(idx)) * np.repeat(step[i:j], c)
-        np.add.at(words, idx, np.repeat(inc[i:j], c))
+    first, count = start, len(q)
+    if count >= _ROUND_MIN:
+        np.add.at(words, start, inc)
+        # prefixes[r - 1] is the length of round r's prefix.
+        rounds = np.arange(1, _DENSE_HITS + 1, dtype=q.dtype)
+        prefixes = np.searchsorted(q, q.dtype.type(n - 1) // rounds, side="right")
+        first = start.copy()
+        for count in prefixes.tolist():
+            first[:count] += step[:count]
+            if count < _ROUND_MIN:
+                break
+            np.add.at(words, np.minimum(first[:count], n), inc[:count])
+    # The tail: every remaining hit of the fewer than _ROUND_MIN powers left.
+    first, step = first[:count], step[:count]
+    counts = np.maximum((n - 1 - first) // step + 1, 0)
+    offset = np.cumsum(counts) - counts
+    idx = np.repeat(first - offset * step, counts)
+    idx += np.arange(len(idx)) * np.repeat(step, counts)
+    np.add.at(words, idx, np.repeat(inc[:count], counts))
 
 
 # Per-process state of a pool worker: the table limit, the prime table,

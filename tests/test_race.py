@@ -4,12 +4,14 @@ test, consistency with the exact tallies, event alternation, and the pair
 enumeration."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from omegadist import race
 from omegadist.race import (
+    COUNT_SLICE,
     NEGATIVE_TO_POSITIVE,
     POSITIVE_TO_NEGATIVE,
     SUB_BLOCK,
@@ -341,6 +343,76 @@ def test_odd_segment_sizes_match_reference(m, segment_size):
     omegas = np.concatenate([s.values for s in iter_segments(x_max)])
     summaries = all_pairs(m, x_max, segment_size=segment_size)
     _assert_matches(summaries, omegas, m, _cumsum_reference)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_segments_longer_than_a_count_slice_match_reference(m):
+    # The first segment is counted in two slices, the second is short.
+    x_max = COUNT_SLICE + 150_000
+    omegas = np.concatenate([s.values for s in iter_segments(x_max)])
+    summaries = all_pairs(m, x_max, segment_size=COUNT_SLICE + 5000)
+    _assert_matches(summaries, omegas, m, _cumsum_reference)
+
+
+def _recorded_counts(monkeypatch):
+    """Patch the segment scan to record, once per segment, the sub-block
+    counts and lengths it gets, and to scan nothing."""
+    seen = []
+
+    def record(summary, values, lut, lo, counts, lengths):
+        if (summary.j, summary.jprime) == (0, 1):
+            seen.append((values, counts, lengths))
+
+    monkeypatch.setattr(race, "_feed_blocks", record)
+    return seen
+
+
+@pytest.mark.parametrize("segment_size", [1000, 3 * SUB_BLOCK + 5, COUNT_SLICE + 3000])
+@pytest.mark.parametrize("m", [2, 3, 12, 64])
+def test_sub_block_counts_match_per_sub_block_bincount(m, segment_size, monkeypatch):
+    """Every Omega value below 64 occurs, so each of the 64 columns folds
+    onto its class; segments of 1000 and 3 * 1024 + 5 values end in a short
+    sub-block, and one longer than a count slice is counted in two."""
+    rng = np.random.default_rng(m * 1000 + segment_size % 1000)
+    omegas = rng.integers(0, 64, 2 * segment_size + 1500, dtype=np.uint8)
+    _patch_stream(monkeypatch, omegas, segment_size)
+    seen = _recorded_counts(monkeypatch)
+    all_pairs(m, len(omegas))
+    assert len(seen) == -(-len(omegas) // segment_size)
+    for values, counts, lengths in seen:
+        expected = np.array([
+            np.bincount(values[a : a + SUB_BLOCK] % m, minlength=m)
+            for a in range(0, len(values), SUB_BLOCK)
+        ])
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(lengths, expected.sum(axis=1))
+
+
+def test_race_memory_is_bounded_by_the_count_slice(monkeypatch):
+    """A 2^24 segment is counted in 2^20-value slices: once the block is
+    sieved, the scan adds about 16 MB of bincount keys and offsets to the
+    16 MB block, where one bincount over the segment took 256 MB more.
+    The whole run's peak is the sieve's own, about 85 MB."""
+    stream = race.iter_segments
+    sieve_peaks = []
+
+    def traced(*args, **kwargs):
+        for segment in stream(*args, **kwargs):
+            sieve_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            yield segment
+
+    monkeypatch.setattr(race, "iter_segments", traced)
+    tracemalloc.start()
+    try:
+        all_pairs(3, 2**24, segment_size=2**24)
+        _, scan_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sieve_peaks) == 1
+    assert scan_peak < 40 * 2**20
+    assert max(sieve_peaks[0], scan_peak) < 100 * 2**20
 
 
 def test_liouville_race_matches_cumsum_reference():

@@ -244,14 +244,88 @@ def test_omega_block_straddles_2_to_40():
 @pytest.mark.parametrize("length", [1, 127, 128, 129, 255, 256, 257, 8192])
 def test_omega_block_lengths_around_dense_cut(length):
     """A prime power is strided when it hits a block at least 128 times,
-    so 2 is strided from length 256 on; 8192 also splits the vectorized
-    pass into several chunks."""
+    so 2 is strided from length 256 on; at 8192 the sparse fold's powers
+    hit up to 127 times each."""
     lo = 10**6 + 3
     assert_matches_oracle(lo, lo + length, primes_up_to(math.isqrt(lo + length)))
 
 
 # Every block starts from a tiled pattern of period 2^3 * 3 * 5 * 7 * 11 * 13.
 PATTERN_PERIOD = 120120
+
+
+def _strided_fold(words, q, start, inc):
+    """The sparse fold done one power at a time with a strided slice over
+    the block, words[:-1]."""
+    block = words[:-1]
+    for step, first, add in zip(q.tolist(), start.tolist(), inc.tolist()):
+        block[first::step] += add
+
+
+@pytest.fixture(scope="module")
+def table_to_10_to_8():
+    return primes_up_to(10**8)
+
+
+@pytest.mark.parametrize("lo", [10**12, 10**14, 10**16])
+def test_fold_sparse_matches_strided_reference_on_full_blocks(table_to_10_to_8, lo):
+    """The round-by-round fold of a 2^20 block's real sparse groups (77k
+    powers at 10^12, 380k at 10^16) adds what one strided slice per power
+    adds, onto arbitrary starting words."""
+    n = 1 << 20
+    rng = np.random.default_rng(lo % 1000 + 17)
+    words = rng.integers(0, 2**32, n + 1, dtype=np.uint32)
+    expected = words.copy()
+    sizes = []
+    for q, start, inc in _prime_powers(lo, lo + n, table_to_10_to_8):
+        dense = int(np.searchsorted(q, q.dtype.type(n // sieve._DENSE_HITS), side="right"))
+        group = q[dense:], start[dense:], inc[dense:]
+        sieve._fold_sparse(words, *group)
+        _strided_fold(expected, *group)
+        sizes.append(len(group[0]))
+    assert sizes[0] > 10 * sieve._ROUND_MIN
+    assert np.array_equal(words[:n], expected[:n])
+
+
+if given is not None:
+
+    @st.composite
+    def sparse_groups(draw):
+        """A synthetic sparse group over n words: about _ROUND_MIN ascending
+        powers of one dtype, each above (n - 1) / 128 so that it hits at
+        most 128 times, a share of them at most n, with starts anywhere
+        below n and arbitrary increments."""
+        dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+        n = draw(st.integers(1, 1 << draw(st.sampled_from([4, 10, 16]))))
+        count = draw(st.integers(sieve._ROUND_MIN - 16, sieve._ROUND_MIN + 64))
+        near = draw(st.integers(0, count))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q_min = n // sieve._DENSE_HITS + 1
+        q_max = int(np.iinfo(dtype).max)
+        q = np.concatenate([
+            rng.integers(q_min, max(q_min, n), near, endpoint=True, dtype=dtype),
+            rng.integers(q_min, q_max, count - near, endpoint=True, dtype=dtype),
+        ])
+        q.sort()
+        start = rng.integers(0, n, count, dtype=np.int64)
+        inc = rng.integers(0, 2**32, count, dtype=np.uint32)
+        words = rng.integers(0, 2**32, n + 1, dtype=np.uint32)
+        return words, q, start, inc
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=sparse_groups())
+    def test_fold_sparse_matches_strided_reference_on_synthetic_groups(group):
+        words, q, start, inc = group
+        expected = words.copy()
+        sieve._fold_sparse(words, q, start, inc)
+        _strided_fold(expected, q, start, inc)
+        assert np.array_equal(words[:-1], expected[:-1])
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_fold_sparse_matches_strided_reference_on_synthetic_groups():
+        pass
 
 
 @pytest.mark.parametrize("k", [1, 2, 9])
