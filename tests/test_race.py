@@ -336,21 +336,14 @@ def test_one_above_edge_sub_blocks_skip_the_per_n_scan(monkeypatch):
     assert fed == [SUB_BLOCK, SUB_BLOCK]
 
 
-@pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5])
+@pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5, COUNT_SLICE + 5000])
 @pytest.mark.parametrize("m", [3, 4])
 def test_odd_segment_sizes_match_reference(m, segment_size):
-    x_max = 100_000  # most sub-blocks are skipped here
+    # Most sub-blocks are skipped here.  A segment longer than a count
+    # slice is counted in two slices, and is followed by a short one.
+    x_max = 100_000 if segment_size < COUNT_SLICE else segment_size + 150_000
     omegas = np.concatenate([s.values for s in iter_segments(x_max)])
     summaries = all_pairs(m, x_max, segment_size=segment_size)
-    _assert_matches(summaries, omegas, m, _cumsum_reference)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_segments_longer_than_a_count_slice_match_reference(m):
-    # The first segment is counted in two slices, the second is short.
-    x_max = COUNT_SLICE + 150_000
-    omegas = np.concatenate([s.values for s in iter_segments(x_max)])
-    summaries = all_pairs(m, x_max, segment_size=COUNT_SLICE + 5000)
     _assert_matches(summaries, omegas, m, _cumsum_reference)
 
 
