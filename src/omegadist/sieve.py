@@ -4,22 +4,24 @@ multiplicity.
 The block sieve never factors an integer one at a time, and it never
 divides.  For a block [lo, hi) with root r = isqrt(hi - 1), every prime
 power q = p^e < hi with p <= r gives each of its multiples in the block one
-hit and the fixed-point weight round(512 * log2 p).  Each n keeps one
-uint32 word holding the hits in its low 16 bits and the weight sum in its
-high 16 bits, so that one add of the increment 1 + (w << 16) updates both;
-the hits are word & 0xFFFF and the sum word >> 16 on any byte order.
+hit and the fixed-point weight round(15 * log2 p).  Each n keeps one
+uint16 word holding the hits in its low 6 bits and the weight sum in its
+high 10 bits, so that one add of the increment 1 + (w << 6) updates both;
+the hits are word & 63 and the sum word >> 6 on any byte order.  A 2^20
+block's words take 2 MB; 16 bits rather than 32 halve the cache lines
+that the strided passes of the dense primes touch.
 Afterwards n = m * c, where m is the part of n made of primes <= r (and of
 the pattern primes below) and c is 1 or a single prime above r.  The hits
-give Omega(m).  The weight sum is 512 * log2 m up to a rounding error below
-32 units, while a prime cofactor adds at least 512 (one bit), so comparing
-the sum with 512 * log2 n shows exactly where c > 1; that n gets the final
-hit.
+give Omega(m).  The weight sum is 15 * log2 m up to a rounding error of
+Omega(m) / 2 < log2(r + 1) units, while a prime cofactor c > r leaves out
+log2(r + 1) bits, 15 times as many units, so comparing the sum with
+15 * log2 n shows exactly where c > 1; that n gets the final hit.
 The comparison uses one threshold per sub-range [a, a * sqrt 2), so no
 logarithm is taken per element.  The result is exact for every n below
 2**64; `omega_block` gives the bound.
 
 The prime powers dividing 120120 = 2^3 * 3 * 5 * 7 * 11 * 13, which would
-each make a full strided pass over the 4 MB of words of a 2^20 block, are
+each make a full strided pass over the 2 MB of words of a 2^20 block, are
 sieved once into a periodic pattern; every block starts as a copy of that
 pattern from lo mod 120120, the pre-sieve step of segmented sieves such as
 Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  What depends
@@ -59,13 +61,14 @@ from typing import Iterator
 import numpy as np
 
 # Entries per block.  Large enough to amortize the per-prime slicing
-# overhead, small enough that the block's uint32 counter words stay
+# overhead, small enough that the block's uint16 counter words stay
 # cache-friendly.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Fixed-point units per bit of the log accumulator.  An n below 2**64 sums
-# less than 64 * 512 + 32 units, which fits its 16-bit counter.
-_LOG_SCALE = 512
+# at most 15 * 64 + 32 = 992 units, which fits its word's 10-bit field; the
+# cofactor test needs no more than 15 (omega_block's Notes).
+_LOG_SCALE = 15
 
 # A prime power with at least this many hits per block is marked with a
 # strided slice; rarer ones go through the vectorized pass, whose per-hit
@@ -75,7 +78,7 @@ _DENSE_HITS = 128
 # Every block starts from a periodic pattern that already holds the
 # increments of the prime powers dividing the period 2^3 * 3 * 5 * 7 * 11 *
 # 13 (2, 4, 8, 3, 5, 7, 11 and 13), the ones that cost a block the most
-# passes.  The pattern is 120120 uint32 words, 480 KB.
+# passes.  The pattern is 120120 uint16 words, 240 KB.
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
 _PATTERN_PERIOD = 120120
 
@@ -116,7 +119,7 @@ class PrimeTable:
 
     @functools.cached_property
     def _prime_increments(self) -> np.ndarray:
-        """The packed increment of every prime, as uint32, shared by every
+        """The packed increment of every prime, as uint16, shared by every
         block the table sieves."""
         increments = _increments(self.primes)
         increments.flags.writeable = False
@@ -147,7 +150,7 @@ class PrimeTable:
                 powers.append(power)
                 increments.append(inc)
         q = np.concatenate([np.empty(0, np.uint64), *powers])
-        q_inc = np.concatenate([np.empty(0, np.uint32), *increments])
+        q_inc = np.concatenate([np.empty(0, np.uint16), *increments])
         order = np.argsort(q, kind="stable")
         order = order[_PATTERN_PERIOD % q[order] != 0]
         q, q_inc = q[order], q_inc[order]
@@ -352,11 +355,12 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     Notes
     -----
     Every prime power q = p^e < hi with p <= r = isqrt(hi - 1) adds one hit
-    and the weight w_p = round(512 * log2 p) to each multiple of q in the
+    and the weight w_p = round(15 * log2 p) to each multiple of q in the
     block.  So n = m * c, where m collects the prime factors <= r and the
     cofactor c is 1 or a prime > r (two such primes would exceed n), gets
-    Omega(m) hits and a weight sum W with |W - 512 * log2 m| <= Omega(m)/2
-    < 32 units, because Omega(m) <= log2 n < 64.
+    Omega(m) hits and a weight sum W with |W - 15 * log2 m| <= Omega(m)/2.
+    With L = log2(r + 1), hi - 1 < (r + 1)^2 gives
+    Omega(m) <= log2(hi - 1) < 2L, so the rounding error is below L units.
 
     The powers 2, 4, 8, 3, 5, 7, 11 and 13 of the small-prime pattern add
     their hit and weight whether or not their prime is <= r.  A pattern
@@ -366,18 +370,19 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     with p <= r is sieved as above, so each prime power dividing n adds
     exactly once.
 
-    The cofactor is not stored.  On a sub-range [a, b) with b <= a * sqrt 2,
-    n gets the final hit where W < 512 * log2 a - 128.  This is exact: c = 1
-    gives W > 512 * log2 n - 32 >= 512 * log2 a - 32, while c > r >= 1
-    adds log2 c >= 1 bit, so W < 512 * (log2 n - 1) + 32
-    < 512 * log2 a - 224.  Each side keeps a margin of 95 units or more
-    after the threshold is rounded up to an integer; its float64 error is
-    below 1e-9 units.  Below 2**64 the hit count stays under 64 and W under
-    32800, so both fit their 16-bit halves: an add never carries from one
-    into the other, the low byte of a word is the hit count, and
-    word < threshold << 16 is the test W < threshold.  The words are read
-    by arithmetic, not through a narrower view, so there is no byte-order
-    caveat.
+    The cofactor is not stored.  On a sub-range [a, b) whose every n has
+    log2 n <= log2 a + 1/2, c = 1 gives W > 15 * log2 a - L, while c > r
+    leaves out log2 c >= L bits, so W < 15 * (log2 a + 1/2 - L) + L.  The
+    gap between the two is more than 13L - 7.5 >= 5.5 units for every
+    r >= 1, and n gets the final hit where W < T, the midpoint
+    15 * log2 a + 3.75 - 7.5L rounded up: each side keeps a margin above
+    1.75 units, and T's float64 error is below 1e-9 units.  T is clamped
+    at 0, where no W lies below it.  Below 2**64 the hit count stays under
+    64 and W at most 15 * 64 + 32 = 992, so both fit their 6-bit and
+    10-bit fields: an add never carries from one into the other, word & 63
+    is the hit count, and word < T << 6 is the test W < T.  The words are
+    read by arithmetic, not through a narrower view, so there is no
+    byte-order caveat.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
@@ -402,23 +407,24 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
         ):
             words[first::step] += add
         _fold_sparse(words, q[dense:], start[dense:], inc[dense:])
-    # The low byte of a word is its hit count, which stays below 64.
-    np.copyto(values, words[:n], casting="unsafe")
+    np.bitwise_and(words[:n], 63, out=values, casting="unsafe")
+    # T sits this many units below 15 * log2 a (the Notes).
+    shift = _LOG_SCALE * (math.log2(root + 1) - 0.5) / 2
     a = lo
     while a < hi:
         b = min(hi, max(a + 1, math.isqrt(2 * a * a)))
-        threshold = math.ceil(_LOG_SCALE * math.log2(a)) - _LOG_SCALE // 4
-        # The hit count is below 2**16, so this compares the log sums.
-        values[a - lo : b - lo] += words[a - lo : b - lo] < threshold << 16
+        threshold = max(0, math.ceil(_LOG_SCALE * math.log2(a) - shift))
+        # The hit count is below 64, so this compares the log sums.
+        values[a - lo : b - lo] += words[a - lo : b - lo] < threshold << 6
         a = b
     return OmegaSegment(lo=lo, hi=hi, values=values)
 
 
 def _increments(primes: np.ndarray) -> np.ndarray:
-    """The packed increment 1 + (w_p << 16), w_p = round(512 * log2 p), of
-    each prime, as uint32."""
-    weights = np.rint(_LOG_SCALE * np.log2(primes)).astype(np.uint32)
-    return (weights << 16) + np.uint32(1)
+    """The packed increment 1 + (w_p << 6), w_p = round(15 * log2 p), of
+    each prime, as uint16."""
+    weights = np.rint(_LOG_SCALE * np.log2(primes)).astype(np.uint16)
+    return (weights << 6) + np.uint16(1)
 
 
 @functools.cache
@@ -427,7 +433,7 @@ def _small_prime_pattern() -> np.ndarray:
     divide _PATTERN_PERIOD and i: the words of every n = i (mod the
     period) after those powers are sieved.  Read-only, shared by all
     blocks of the process."""
-    pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint32)
+    pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint16)
     for p, inc in zip(_PATTERN_PRIMES, _increments(np.array(_PATTERN_PRIMES)).tolist()):
         q = p
         while _PATTERN_PERIOD % q == 0:
@@ -440,7 +446,7 @@ def _small_prime_pattern() -> np.ndarray:
 def _tile_pattern(lo: int, n: int) -> np.ndarray:
     """The counter words of [lo, lo + n) with the pattern's prime powers
     already sieved: the pattern tiled from lo mod its period."""
-    words = np.empty(n, dtype=np.uint32)
+    words = np.empty(n, dtype=np.uint16)
     _tile(words, _small_prime_pattern(), lo)
     return words
 
@@ -452,7 +458,7 @@ def _prime_powers(
     a multiple in [lo, hi), less those in the small-prime pattern, in three
     groups: the primes, their squares and the higher powers.  Each group is
     q ascending (uint32 for the primes, uint64 for the powers), the offset
-    of its first multiple (int64) and the packed increment (uint32)."""
+    of its first multiple (int64) and the packed increment (uint16)."""
     root = np.uint32(math.isqrt(hi - 1))
     count = int(np.searchsorted(table.primes, root, side="right"))
     primes = table.primes[:count]

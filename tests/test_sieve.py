@@ -271,20 +271,22 @@ def table_to_10_to_8():
 def test_fold_sparse_matches_strided_reference_on_full_blocks(table_to_10_to_8, lo):
     """The round-by-round fold of a 2^20 block's real sparse groups (77k
     powers at 10^12, 380k at 10^16) adds what one strided slice per power
-    adds, onto arbitrary starting words."""
+    adds, onto arbitrary starting words: the sieve's uint16 words, which
+    wrap, and uint32 words."""
     n = 1 << 20
-    rng = np.random.default_rng(lo % 1000 + 17)
-    words = rng.integers(0, 2**32, n + 1, dtype=np.uint32)
-    expected = words.copy()
-    sizes = []
+    groups = []
     for q, start, inc in _prime_powers(lo, lo + n, table_to_10_to_8):
         dense = int(np.searchsorted(q, q.dtype.type(n // sieve._DENSE_HITS), side="right"))
-        group = q[dense:], start[dense:], inc[dense:]
-        sieve._fold_sparse(words, *group)
-        _strided_fold(expected, *group)
-        sizes.append(len(group[0]))
-    assert sizes[0] > 10 * sieve._ROUND_MIN
-    assert np.array_equal(words[:n], expected[:n])
+        groups.append((q[dense:], start[dense:], inc[dense:]))
+    assert len(groups[0][0]) > 10 * sieve._ROUND_MIN
+    rng = np.random.default_rng(lo % 1000 + 17)
+    for dtype in (np.uint16, np.uint32):
+        words = rng.integers(0, np.iinfo(dtype).max, n + 1, endpoint=True, dtype=dtype)
+        expected = words.copy()
+        for group in groups:
+            sieve._fold_sparse(words, *group)
+            _strided_fold(expected, *group)
+        assert np.array_equal(words[:n], expected[:n]), dtype
 
 
 if given is not None:
@@ -294,8 +296,10 @@ if given is not None:
         """A synthetic sparse group over n words: about _ROUND_MIN ascending
         powers of one dtype, each above (n - 1) / 128 so that it hits at
         most 128 times, a share of them at most n, with starts anywhere
-        below n and arbitrary increments."""
+        below n and arbitrary increments of the words' dtype, uint16 as in
+        the sieve or uint32."""
         dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+        word = draw(st.sampled_from([np.uint16, np.uint32]))
         n = draw(st.integers(1, 1 << draw(st.sampled_from([4, 10, 16]))))
         count = draw(st.integers(sieve._ROUND_MIN - 16, sieve._ROUND_MIN + 64))
         near = draw(st.integers(0, count))
@@ -308,8 +312,9 @@ if given is not None:
         ])
         q.sort()
         start = rng.integers(0, n, count, dtype=np.int64)
-        inc = rng.integers(0, 2**32, count, dtype=np.uint32)
-        words = rng.integers(0, 2**32, n + 1, dtype=np.uint32)
+        top = np.iinfo(word).max
+        inc = rng.integers(0, top, count, endpoint=True, dtype=word)
+        words = rng.integers(0, top, n + 1, endpoint=True, dtype=word)
         return words, q, start, inc
 
     @settings(max_examples=60, deadline=None)
@@ -350,6 +355,40 @@ def test_omega_block_pattern_primes_above_the_root():
     for hi in range(2, 171):
         for lo in sorted({1, hi // 2, hi - 1}):
             assert omega_block(lo, hi, table).values.tolist() == expected[lo - 1 : hi - 1]
+
+
+def test_omega_block_narrowest_cofactor_gap():
+    """The c = 1 and c > r weight sums are more than 15 * (L - 1/2) - Omega
+    units apart, L = log2(r + 1), which is smallest for small roots r.
+    Every hi up to 4096, from three starts, with a table to exactly
+    max(2, isqrt(hi - 1))."""
+    expected = np.array([omega_single(n) for n in range(1, 4096)], dtype=np.uint8)
+    tables = {}
+    for hi in range(2, 4097):
+        limit = max(2, math.isqrt(hi - 1))
+        if limit not in tables:
+            tables[limit] = primes_up_to(limit)
+        for lo in sorted({1, hi // 2, hi - 1}):
+            values = omega_block(lo, hi, tables[limit]).values
+            assert np.array_equal(values, expected[lo - 1 : hi - 1]), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**63,  # 63 hits, the most a word's 6-bit hit field holds
+        2**62 * 3,
+        3**40,  # 40 * 24 = 960 units
+        541**7,  # 7 * 136 = 952 units
+    ],
+)
+def test_omega_block_top_of_the_word(n):
+    """One-element blocks whose hit count and weight sum come near the top
+    of their 6-bit and 10-bit fields, where a carry between the fields
+    would show.  The table reaches 2^32 - 1 but holds the primes up to 541
+    only, which are all these n need."""
+    table = PrimeTable(limit=2**32 - 1, primes=primes_up_to(541).primes)
+    assert omega_block(n, n + 1, table).values.tolist() == [omega_single(n)]
 
 
 def test_omega_block_full_block_tiles_the_pattern():
@@ -467,7 +506,7 @@ def _brute_force_powers(lo, hi, primes):
     for p in primes:
         if p > math.isqrt(hi - 1):
             break
-        inc = 1 + (round(512 * math.log2(p)) << 16)
+        inc = 1 + (round(15 * math.log2(p)) << 6)
         q = p
         while q < hi:
             start = -lo % q
@@ -508,7 +547,7 @@ def test_cached_powers_stop_below_2_to_64():
     table = PrimeTable(limit=2**32 - 1, primes=primes)
     expected = []
     for p in primes.tolist():
-        inc = 1 + (round(512 * math.log2(p)) << 16)
+        inc = 1 + (round(15 * math.log2(p)) << 6)
         e = 3
         while p**e < 2**64:
             if PATTERN_PERIOD % p**e:
