@@ -46,7 +46,6 @@ from .errorterms import (
 from .hall import hall_constants, hall_rhs, predicted_bound
 from .race import all_pairs, race_scan
 from .residues import (
-    InconsistentTransformError,
     counts_from_sums,
     inverse_residuals,
     new_tally,
@@ -627,9 +626,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except InsufficientDataError as exc:
-        print(f"omegadist: {exc}", file=sys.stderr)
-        return 1
-    except InconsistentTransformError as exc:
         print(f"omegadist: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residues import residue_lut, root_table
+from .residues import root_table
 from .sieve import PrimeTable, iter_segments, primes_up_to
 
 #: Truncation of the reference zeta values; tail error ~ 5e-11 at s = 2.
@@ -80,7 +80,7 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> complex:
         raise ValueError(f"n_max must be below 2**64, got {n_max}")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    weights = root_table(m)[(residue_lut(m) * k) % m]
+    weights = root_table(m)[np.arange(64) * k % m]
     total = 0j
     for segment in iter_segments(n_max):
         # One complex array per segment, filled in slices: each term is

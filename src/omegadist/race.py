@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import residue_lut
+from .residues import fold_classes
 from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
@@ -101,14 +101,13 @@ def _feed(race: RaceSummary, residues: np.ndarray, lo: int) -> None:
 def _feed_blocks(
     race: RaceSummary,
     values: np.ndarray,
-    lut: np.ndarray,
     lo: int,
     counts: np.ndarray,
     lengths: np.ndarray,
 ) -> None:
     """Scan one segment of Omega values given its per-sub-block class
     counts: skip the sub-blocks where Delta cannot reach zero, feed the
-    rest in runs, reading the classes of a run through lut."""
+    rest in runs, reading a run's classes as its values mod m."""
     cj, cjp = counts[:, race.j], counts[:, race.jprime]
     ends = race.final_delta + np.cumsum(cj - cjp)
     starts = ends - (cj - cjp)
@@ -122,7 +121,7 @@ def _feed_blocks(
     for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
         race.final_delta = int(starts[a])
         run = values[a * SUB_BLOCK : b * SUB_BLOCK]
-        _feed(race, lut[run], lo + a * SUB_BLOCK)
+        _feed(race, run % race.m, lo + a * SUB_BLOCK)
     race.final_delta = int(ends[-1])
 
 
@@ -132,19 +131,15 @@ def _sub_block_counts(values: np.ndarray, m: int, offsets: np.ndarray) -> np.nda
     Slices of at most len(offsets) values, a multiple of SUB_BLOCK, are
     counted by one bincount each of values + offsets, where offsets[i] =
     64 * (i // SUB_BLOCK) puts the 64 Omega values of each sub-block in
-    their own row; the 64 columns then fold onto the m classes.
+    their own row; fold_classes folds the 64 columns onto the m classes.
     """
-    full = 64 // m * m
     pieces = []
     for a in range(0, len(values), len(offsets)):
         piece = values[a : a + len(offsets)]
         blocks = -(-len(piece) // SUB_BLOCK)
         hist = np.bincount(piece + offsets[: len(piece)], minlength=blocks * 64)
-        hist = hist.reshape(blocks, 64)
-        counts = hist[:, :full].reshape(blocks, -1, m).sum(axis=1)
-        counts[:, : 64 - full] += hist[:, full:]
-        pieces.append(counts)
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        pieces.append(fold_classes(hist.reshape(blocks, 64), m))
+    return np.concatenate(pieces)
 
 
 def _scan(
@@ -160,7 +155,6 @@ def _scan(
     if m > MAX_MODULUS:
         raise ValueError(f"race modulus must be at most {MAX_MODULUS}, got {m}")
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
-    lut = residue_lut(m).astype(np.uint8)
     offsets = np.empty(0, dtype=np.intp)
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
         values = segment.values
@@ -172,7 +166,7 @@ def _scan(
         # Every n falls in exactly one class.
         lengths = counts.sum(axis=1)
         for race in races:
-            _feed_blocks(race, values, lut, segment.lo, counts, lengths)
+            _feed_blocks(race, values, segment.lo, counts, lengths)
     return races
 
 

@@ -8,9 +8,10 @@ integer tally through the finite Fourier transform, and the inverse transform
 recovers the tally bit for bit (up to the documented rounding tolerance).
 
 Every count, the checkpointed error terms' included, comes from
-tally_segment, which folds a segment's cached 64-bin Omega histogram into
-the classes through a residue lookup: a segment tallied for many moduli is
-read once, and its values must not change after its first tally.
+tally_segment, which folds a segment's cached 64-bin Omega histogram onto
+the classes with fold_classes, the one such fold: a segment tallied for
+many moduli is read once, and its values must not change after its first
+tally.
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ def root_table(m: int) -> np.ndarray:
     return powers
 
 
-def residue_lut(m: int) -> np.ndarray:
-    """lut[w] = w mod m for every 8-bit Omega value w (Omega(n) < 64)."""
-    return np.arange(64, dtype=np.intp) % m
+def fold_classes(hist: np.ndarray, m: int) -> np.ndarray:
+    """counts[..., j] = the sum of hist[..., w] over w = j (mod m): the 64
+    Omega bins on the last axis of hist folded onto m >= 1 classes.  The
+    64 // m full rows of m bins are summed, and the 64 mod m bins left over
+    add to the first classes (all 64 of them when m > 64)."""
+    rows = 64 // m
+    counts = hist[..., : rows * m].reshape(*hist.shape[:-1], rows, m).sum(axis=-2)
+    counts[..., : 64 - rows * m] += hist[..., rows * m :]
+    return counts
 
 
 @dataclass
@@ -85,15 +92,15 @@ def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
     """Fold one sieve segment into the tally, in place.
 
     Segments must arrive contiguously: segment.lo == tally.x + 1.  The
-    segment's cached histogram is folded through a 64-entry residue lookup,
-    never by per-n division, so tallying one segment for k moduli costs one
-    pass over its values and k folds of 64 adds.
+    segment's cached histogram is folded by fold_classes, never by per-n
+    division, so tallying one segment for k moduli costs one pass over its
+    values and k folds of 64 bins.
     """
     if segment.lo != tally.x + 1:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"
         )
-    np.add.at(tally.counts, residue_lut(tally.m), segment.histogram)
+    tally.counts += fold_classes(segment.histogram, tally.m)
     tally.x = segment.hi - 1
     return tally
 

@@ -464,7 +464,7 @@ def _prime_powers(
     primes = table.primes[:count]
     inc = table._prime_increments[:count]
     # The pattern's primes are the smallest primes, and 4 the smallest
-    # square; slicing them off keeps the arrays views.
+    # square, so they are a prefix of their group.
     skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
     yield _first_hits(lo, hi, primes[skip:], inc[skip:])
     # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
@@ -487,11 +487,8 @@ def _first_hits(
     start = np.uint64(lo - 1) % q
     np.subtract(q, start, out=start)
     start -= np.uint64(1)
-    # Offsets below the block length fit int64 unchanged.  Powers up to the
-    # block length all hit; they are passed on without a copy.
+    # Offsets below the block length fit int64 unchanged.
     hit = start < hi - lo
-    if hit.all():
-        return q, start.view(np.int64), inc
     return q[hit], start[hit].view(np.int64), inc[hit]
 
 
@@ -511,18 +508,17 @@ def _fold_sparse(
     # A power >= n hits once; stepping by n leaves the block all the same
     # and keeps the index arithmetic in int64.
     step = np.minimum(q, np.uint64(n)).view(np.int64)
-    first, count = start, len(q)
-    if count >= _ROUND_MIN:
-        np.add.at(words, start, inc)
-        # prefixes[r - 1] is the length of round r's prefix.
-        rounds = np.arange(1, _DENSE_HITS + 1, dtype=q.dtype)
-        prefixes = np.searchsorted(q, q.dtype.type(n - 1) // rounds, side="right")
-        first = start.copy()
-        for count in prefixes.tolist():
-            first[:count] += step[:count]
-            if count < _ROUND_MIN:
-                break
-            np.add.at(words, np.minimum(first[:count], n), inc[:count])
+    np.add.at(words, start, inc)
+    # prefixes[r - 1] is the length of round r's prefix.  The last round's
+    # is empty, since every q > n // _DENSE_HITS, so the loop always breaks.
+    rounds = np.arange(1, _DENSE_HITS + 1, dtype=q.dtype)
+    prefixes = np.searchsorted(q, q.dtype.type(n - 1) // rounds, side="right")
+    first = start.copy()
+    for count in prefixes.tolist():
+        first[:count] += step[:count]
+        if count < _ROUND_MIN:
+            break
+        np.add.at(words, np.minimum(first[:count], n), inc[:count])
     # The tail: every remaining hit of the fewer than _ROUND_MIN powers left.
     first, step = first[:count], step[:count]
     counts = np.maximum((n - 1 - first) // step + 1, 0)
@@ -532,27 +528,27 @@ def _fold_sparse(
     np.add.at(words, idx, np.repeat(inc[:count], counts))
 
 
-# Per-process state of a pool worker: the table limit, the prime table,
-# sieved on the first block since an error in a pool initializer breaks the
-# pool (a MemoryError would read as a dead worker), and the shared buffer.
-_worker_limit = 2
-_worker_table: PrimeTable | None = None
+# Per-process state of a pool worker: a view of the shared buffer.
 _worker_buffer: np.ndarray | None = None
 
 
-def _start_worker(buffer, limit: int) -> None:
-    """Pool initializer: keep the table limit and a view of the buffer."""
-    global _worker_limit, _worker_buffer
-    _worker_limit = limit
+def _start_worker(buffer) -> None:
+    """Pool initializer: keep a view of the shared buffer."""
+    global _worker_buffer
     _worker_buffer = np.frombuffer(buffer, dtype=np.uint8)
 
 
-def _sieve_into_buffer(lo: int, hi: int, offset: int) -> None:
+@functools.cache
+def _worker_table(limit: int) -> PrimeTable:
+    """A pool worker's prime table, sieved on its first block: an error in a
+    pool initializer breaks the pool (a MemoryError would read as a dead
+    worker).  primes_up_to is looked up at each call, not bound here."""
+    return primes_up_to(limit)
+
+
+def _sieve_into_buffer(lo: int, hi: int, offset: int, limit: int) -> None:
     """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
-    global _worker_table
-    if _worker_table is None:
-        _worker_table = primes_up_to(_worker_limit)
-    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _worker_table).values
+    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _worker_table(limit)).values
 
 
 def segment_bounds(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
@@ -603,16 +599,16 @@ def iter_segments(
     width = min(segment_size, x_max)
     buffer = RawArray("B", slots * width)
     shared = np.frombuffer(buffer, dtype=np.uint8)
-    jobs = ((lo, hi, k % slots * width) for k, (lo, hi) in enumerate(blocks))
+    jobs = ((lo, hi, k % slots * width, limit) for k, (lo, hi) in enumerate(blocks))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(buffer, limit)
+        max_workers=workers, initializer=_start_worker, initargs=(buffer,)
     ) as pool:
         pending = deque(
             (job, pool.submit(_sieve_into_buffer, *job))
             for job in itertools.islice(jobs, slots)
         )
         while pending:
-            (lo, hi, offset), future = pending.popleft()
+            (lo, hi, offset, _), future = pending.popleft()
             future.result()
             values = shared[offset : offset + hi - lo].copy()
             job = next(jobs, None)

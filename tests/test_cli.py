@@ -308,6 +308,7 @@ _TABLE_TOO_HIGH = str(2**32)
             ["dirichlet-check", "--m", "12", "--s", "1.4e307", "--n-max", "10", "--p-max", "10"],
             "s must keep 12*s*log(100000) finite, got 1.4e+307",
         ),
+        (["race", "--m", "1", "--x-max", "100"], "need m >= 2 to race two classes, got 1"),
         (["race", "--m", "65", "--x-max", "100"], "race modulus must be at most 64, got 65"),
         (["selftest", "--x-limit", "99"], "x-limit must be >= 100, got 99"),
         (
@@ -319,8 +320,8 @@ _TABLE_TOO_HIGH = str(2**32)
         "race-x-max-2^64", "density-x-max-2^64-workers", "error-growth-x-max-2^64",
         "density-m0", "dirichlet-n-max", "dirichlet-n-max-2^64", "dirichlet-p-max",
         "dirichlet-p-max-2^32", "hall-x-max-2^32", "dirichlet-s-overflow",
-        "dirichlet-s-log-n-overflow", "dirichlet-ms-log-n-overflow", "race-m-65", "selftest-x-limit",
-        "selftest-x-limit-2^24",
+        "dirichlet-s-log-n-overflow", "dirichlet-ms-log-n-overflow", "race-m-1",
+        "race-m-65", "selftest-x-limit", "selftest-x-limit-2^24",
     ],
 )
 def test_usage_error_exits_2_before_any_prime_table(capsys, monkeypatch, argv, message):

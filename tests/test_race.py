@@ -155,6 +155,15 @@ def test_validation_errors():
         all_pairs(65, 100)
 
 
+def test_all_pairs_refuses_m_1_before_sieving(monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("a segment was sieved")
+
+    monkeypatch.setattr(race, "iter_segments", never)
+    with pytest.raises(ValueError, match="need m >= 2"):
+        all_pairs(1, 100)
+
+
 def _cumsum_reference(omegas, m, j, jprime):
     """Delta at every n from one cumsum over the whole range: the scan as it
     was before sub-blocks were skipped.  Same result shape as
@@ -352,7 +361,7 @@ def _recorded_counts(monkeypatch):
     counts and lengths it gets, and to scan nothing."""
     seen = []
 
-    def record(summary, values, lut, lo, counts, lengths):
+    def record(summary, values, lo, counts, lengths):
         if (summary.j, summary.jprime) == (0, 1):
             seen.append((values, counts, lengths))
 

@@ -21,6 +21,7 @@ from omegadist.residues import (
     InconsistentTransformError,
     ResidueTally,
     counts_from_sums,
+    fold_classes,
     inverse_residuals,
     new_tally,
     root_table,
@@ -129,6 +130,19 @@ def test_fold_counts_every_value_up_to_63(length):
     for m in (64, 5):
         tally = tally_segment(new_tally(m), segment)
         assert tally.counts.tolist() == plain_fold(values, m).tolist()
+
+
+def test_fold_classes_sums_every_mth_bin():
+    """fold_classes(hist, m)[..., j] sums the bins j, j + m, ... of a 1-D
+    and a 2-D histogram for every m from 1 to 70: m = 64 has one full row,
+    and every m > 64 none."""
+    rng = np.random.default_rng(64)
+    for hist in (rng.integers(0, 10**9, 64), rng.integers(0, 10**9, (5, 64))):
+        for m in range(1, 71):
+            expected = np.stack([hist[..., j::m].sum(-1) for j in range(m)], axis=-1)
+            got = fold_classes(hist, m)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), m
 
 
 def test_tally_segment_histograms_a_segment_once(monkeypatch):

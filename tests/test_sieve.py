@@ -293,15 +293,16 @@ if given is not None:
 
     @st.composite
     def sparse_groups(draw):
-        """A synthetic sparse group over n words: about _ROUND_MIN ascending
-        powers of one dtype, each above (n - 1) / 128 so that it hits at
+        """A synthetic sparse group over n words: up to _ROUND_MIN + 64
+        ascending powers of one dtype, so that empty and small groups run
+        the rounds too, each above (n - 1) / 128 so that it hits at
         most 128 times, a share of them at most n, with starts anywhere
         below n and arbitrary increments of the words' dtype, uint16 as in
         the sieve or uint32."""
         dtype = draw(st.sampled_from([np.uint32, np.uint64]))
         word = draw(st.sampled_from([np.uint16, np.uint32]))
         n = draw(st.integers(1, 1 << draw(st.sampled_from([4, 10, 16]))))
-        count = draw(st.integers(sieve._ROUND_MIN - 16, sieve._ROUND_MIN + 64))
+        count = draw(st.integers(0, sieve._ROUND_MIN + 64))
         near = draw(st.integers(0, count))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         q_min = n // sieve._DENSE_HITS + 1
@@ -458,6 +459,30 @@ def test_pooled_stream_builds_no_parent_table(monkeypatch):
     serial = [s.values for s in iter_segments(5000, segment_size=1024)]
     assert calls == [70]
     assert np.array_equal(np.concatenate(pooled), np.concatenate(serial))
+
+
+def test_pool_worker_sieves_its_table_once(tmp_path, monkeypatch):
+    # Forked workers inherit the patch and log to a file, since they cannot
+    # append to the parent's list: one table per worker, not one per block.
+    log = tmp_path / "limits"
+
+    def logging_primes_up_to(limit):
+        with log.open("a") as f:
+            f.write(f"{limit}\n")
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(sieve, "primes_up_to", logging_primes_up_to)
+    x_max = 50 * 1024
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        blocks = list(iter_segments(x_max, segment_size=1024, workers=2))
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert len(blocks) == 50
+    limits = log.read_text().split()
+    assert 1 <= len(limits) <= 2
+    assert limits == [str(math.isqrt(x_max))] * len(limits)
 
 
 def test_pooled_segments_do_not_alias():
