@@ -56,8 +56,8 @@ from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_SEGMENT_SIZE,
     MAX_WORKERS,
-    OmegaSegment,
     _omega_trial_division,
+    iter_segments,
     omega_block,
     omega_single,
     primes_up_to,
@@ -420,12 +420,10 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
         checks.append({"name": name, "passed": passed, "detail": detail})
 
     n_small = x_limit
-    table = primes_up_to(max(2, math.isqrt(n_small)))
-    segment = omega_block(1, n_small + 1, table)
-    values = segment.values.copy()
+    segment = next(iter_segments(n_small, segment_size=n_small))
     if inject_fault:
-        values[n_small // 2] ^= 1
-    segment = OmegaSegment(lo=1, hi=n_small + 1, values=values)
+        # Before the first tally, while the segment's values may still change.
+        segment.values[n_small // 2] ^= 1
 
     def oracle_small():
         expected = _omega_trial_division(np.arange(1, n_small + 1))

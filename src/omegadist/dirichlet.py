@@ -40,11 +40,15 @@ class IdentityReport:
         return abs(self.lhs - self.rhs)
 
 
-def _require_finite(s: complex) -> None:
-    """Reject an infinite s, which passes the Re s > 1 checks and then
-    turns every sum and product into NaN."""
+def _check_s(s: complex, what: str) -> complex:
+    """complex(s), refused unless finite with Re s > 1: an infinite s passes
+    the half-plane test and then turns every sum and product into NaN."""
+    s = complex(s)
+    if not s.real > 1.0:
+        raise ValueError(f"{what} needs Re s > 1, got {s}")
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
+    return s
 
 
 def zeta_ref(s: complex) -> complex:
@@ -54,10 +58,7 @@ def zeta_ref(s: complex) -> complex:
     the second term is the integral comparison of the discarded tail,
     leaving an error of about half the last term.
     """
-    s = complex(s)
-    if not s.real > 1.0:
-        raise ValueError(f"zeta_ref needs Re s > 1, got {s}")
-    _require_finite(s)
+    s = _check_s(s, "zeta_ref")
     n = np.arange(1, DEFAULT_ZETA_TERMS + 1, dtype=np.float64)
     head = complex(np.sum(n ** (-s)))
     tail = DEFAULT_ZETA_TERMS ** (1.0 - s) / (s - 1.0)
@@ -70,10 +71,7 @@ def truncated_L(m: int, k: int, s: complex, n_max: int) -> complex:
     Omega values come from the segmented sieve; no per-n factoring happens
     here.
     """
-    s = complex(s)
-    if not s.real > 1.0:
-        raise ValueError(f"truncation is only trusted for Re s > 1, got {s}")
-    _require_finite(s)
+    s = _check_s(s, "truncated_L")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max >= 1 << 64:
@@ -116,10 +114,7 @@ def _euler_product(m: int, k: int, s: complex, table: PrimeTable, factor) -> com
 def euler_L(m: int, k: int, s: complex, table: PrimeTable) -> complex:
     """Euler product over the primes of the table of
     (1 - zeta_m^k * p^(-s))^(-1)."""
-    s = complex(s)
-    if not s.real > 1.0:
-        raise ValueError(f"Euler product needs Re s > 1, got {s}")
-    _require_finite(s)
+    s = _check_s(s, "euler_L")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     return _euler_product(m, k, s, table, lambda w, z: 1.0 / (1.0 - w * z))
@@ -134,17 +129,13 @@ def euler_G(m: int, k: int, s: complex, table: PrimeTable) -> complex:
     real s > 1 is supported: the complex power uses the principal log of the
     positive real base 1 - p^(-s), which is unambiguous there.
     """
-    s = complex(s)
+    s = _check_s(s, "euler_G")
     if s.imag != 0.0:
         raise ValueError(f"only real s is supported, got {s}")
-    s_real = s.real
-    if not s_real > 1.0:
-        raise ValueError(f"need s > 1, got {s_real}")
-    _require_finite(s)
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     return _euler_product(
-        m, k, s_real, table, lambda w, z: np.exp(w * np.log1p(-z)) / (1.0 - w * z)
+        m, k, s.real, table, lambda w, z: np.exp(w * np.log1p(-z)) / (1.0 - w * z)
     )
 
 

@@ -40,8 +40,9 @@ over the odd numbers, pre-sieved from the odd half of the same pattern,
 which writes its primes straight into one uint32 array; a table's limit is
 below 2**32, which covers every block below 2**64.
 
-A pooled stream sends each worker's block back through one shared buffer
-of (workers + 2) block slots, not as a pickled array through a pipe.
+A stream sieves one prime table, which a pooled stream hands to each
+worker as it starts; the workers send their blocks back through one shared
+buffer of (workers + 2) block slots, not as pickled arrays through a pipe.
 
 Each OmegaSegment also carries a 64-bin histogram of its values, counted
 on first use and cached, which every residue tally of the segment folds;
@@ -135,20 +136,18 @@ class PrimeTable:
         cube_root = round(cap ** (1 / 3))
         cube_root -= cube_root**3 > cap
         count = int(np.searchsorted(self.primes, np.uint32(cube_root), side="right"))
-        base = power = self.primes[:count].astype(np.uint64)
+        base = self.primes[:count].astype(np.uint64)
         inc = self._prime_increments[:count]
+        power = base * base * base
         cap = np.uint64(cap)
         powers, increments = [], []
-        for e in itertools.count(2):
-            # The primes with p^e <= cap are a prefix, and power * base
-            # <= cap < 2**64 cannot wrap.
+        while len(base):
+            powers.append(power)
+            increments.append(inc)
+            # power holds p^e <= cap.  The primes with p^(e + 1) <= cap are
+            # a prefix, and power * base <= cap < 2**64 cannot wrap.
             keep = int(np.count_nonzero(power <= cap // base))
-            if not keep:
-                break
             base, inc, power = base[:keep], inc[:keep], power[:keep] * base[:keep]
-            if e >= 3:
-                powers.append(power)
-                increments.append(inc)
         q = np.concatenate([np.empty(0, np.uint64), *powers])
         q_inc = np.concatenate([np.empty(0, np.uint16), *increments])
         order = np.argsort(q, kind="stable")
@@ -528,27 +527,23 @@ def _fold_sparse(
     np.add.at(words, idx, np.repeat(inc[:count], counts))
 
 
-# Per-process state of a pool worker: a view of the shared buffer.
+# Per-process state of a pool worker: the shared buffer and the table.
 _worker_buffer: np.ndarray | None = None
+_stream_table: PrimeTable | None = None
 
 
-def _start_worker(buffer) -> None:
-    """Pool initializer: keep a view of the shared buffer."""
-    global _worker_buffer
+def _start_worker(buffer, table: PrimeTable) -> None:
+    """Pool initializer: keep a view of the shared buffer and the stream's
+    prime table.  A forked worker shares the parent's table pages; under any
+    other start method the table arrives pickled, once per worker."""
+    global _worker_buffer, _stream_table
     _worker_buffer = np.frombuffer(buffer, dtype=np.uint8)
+    _stream_table = table
 
 
-@functools.cache
-def _worker_table(limit: int) -> PrimeTable:
-    """A pool worker's prime table, sieved on its first block: an error in a
-    pool initializer breaks the pool (a MemoryError would read as a dead
-    worker).  primes_up_to is looked up at each call, not bound here."""
-    return primes_up_to(limit)
-
-
-def _sieve_into_buffer(lo: int, hi: int, offset: int, limit: int) -> None:
+def _sieve_into_buffer(lo: int, hi: int, offset: int) -> None:
     """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
-    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _worker_table(limit)).values
+    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _stream_table).values
 
 
 def segment_bounds(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
@@ -566,8 +561,9 @@ def iter_segments(
 ) -> Iterator[OmegaSegment]:
     """Stream OmegaSegments covering 1..x_max, in ascending order.
 
-    With workers > 1 the blocks are computed in a process pool, each worker
-    with its own prime table, but are always yielded in block order, so
+    The prime table is sieved once, in the calling process.  With
+    workers > 1 the blocks are computed in a process pool whose workers
+    share that table, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
     x_max must be below 2**64, the bound of omega_block, segment_size at
     most MAX_SEGMENT_SIZE and workers at most MAX_WORKERS.
@@ -582,10 +578,9 @@ def iter_segments(
         )
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    limit = max(2, math.isqrt(x_max))
+    table = primes_up_to(max(2, math.isqrt(x_max)))
     blocks = segment_bounds(x_max, segment_size)
     if workers == 1:
-        table = primes_up_to(limit)
         for lo, hi in blocks:
             yield omega_block(lo, hi, table)
         return
@@ -599,16 +594,16 @@ def iter_segments(
     width = min(segment_size, x_max)
     buffer = RawArray("B", slots * width)
     shared = np.frombuffer(buffer, dtype=np.uint8)
-    jobs = ((lo, hi, k % slots * width, limit) for k, (lo, hi) in enumerate(blocks))
+    jobs = ((lo, hi, k % slots * width) for k, (lo, hi) in enumerate(blocks))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(buffer,)
+        max_workers=workers, initializer=_start_worker, initargs=(buffer, table)
     ) as pool:
         pending = deque(
             (job, pool.submit(_sieve_into_buffer, *job))
             for job in itertools.islice(jobs, slots)
         )
         while pending:
-            (lo, hi, offset, _), future = pending.popleft()
+            (lo, hi, offset), future = pending.popleft()
             future.result()
             values = shared[offset : offset + hi - lo].copy()
             job = next(jobs, None)

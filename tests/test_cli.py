@@ -414,8 +414,8 @@ def test_worker_crash_exits_4(capsys, monkeypatch):
 def test_out_of_memory_exits_2(capsys, monkeypatch, module, argv, error, message):
     # A real allocation of that size must not be attempted here: with memory
     # overcommit it succeeds, and the OOM killer ends the test run instead.
-    # With --workers, forked workers inherit the patch: a worker's MemoryError
-    # must reach the parent as one, not as a pool broken by its initializer.
+    # With --workers, the stream sieves its table in the parent before any
+    # worker starts, so the MemoryError is the parent's own.
     def fail(limit):
         raise error
 

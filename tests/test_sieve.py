@@ -445,25 +445,10 @@ def test_iter_segments_workers_agree():
     assert np.array_equal(serial, parallel)
 
 
-def test_pooled_stream_builds_no_parent_table(monkeypatch):
-    # Each pool worker builds its own prime table; the parent needs none.
-    calls = []
-
-    def counting_primes_up_to(limit):
-        calls.append(limit)
-        return primes_up_to(limit)
-
-    monkeypatch.setattr(sieve, "primes_up_to", counting_primes_up_to)
-    pooled = [s.values for s in iter_segments(5000, segment_size=1024, workers=2)]
-    assert calls == []
-    serial = [s.values for s in iter_segments(5000, segment_size=1024)]
-    assert calls == [70]
-    assert np.array_equal(np.concatenate(pooled), np.concatenate(serial))
-
-
-def test_pool_worker_sieves_its_table_once(tmp_path, monkeypatch):
-    # Forked workers inherit the patch and log to a file, since they cannot
-    # append to the parent's list: one table per worker, not one per block.
+def test_pooled_stream_sieves_one_table(tmp_path, monkeypatch):
+    # The parent sieves the table and its workers share it.  Forked workers
+    # inherit the patch, so a table sieved by a worker would show up in the
+    # log too, which is a file because they cannot append to a parent list.
     log = tmp_path / "limits"
 
     def logging_primes_up_to(limit):
@@ -480,9 +465,7 @@ def test_pool_worker_sieves_its_table_once(tmp_path, monkeypatch):
     finally:
         multiprocessing.set_start_method(method, force=True)
     assert len(blocks) == 50
-    limits = log.read_text().split()
-    assert 1 <= len(limits) <= 2
-    assert limits == [str(math.isqrt(x_max))] * len(limits)
+    assert log.read_text().split() == [str(math.isqrt(x_max))]
 
 
 def test_pooled_segments_do_not_alias():
@@ -498,11 +481,12 @@ def test_pooled_segments_do_not_alias():
             assert not np.shares_memory(a.values, b.values)
 
 
-def test_pooled_stream_under_spawn():
-    # A spawned worker inherits nothing, so the shared buffer must reach it
-    # by pickling.
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_pooled_stream_under_spawn(start_method):
+    # A spawned or forkserver worker inherits nothing, so the shared buffer
+    # and the prime table must reach it by pickling.
     method = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
+    multiprocessing.set_start_method(start_method, force=True)
     try:
         pooled = [s.values for s in iter_segments(5000, segment_size=1024, workers=2)]
     finally:
@@ -564,22 +548,37 @@ def test_prime_powers_match_brute_force():
             assert got == expected, (lo, hi, t.limit)
 
 
+def _plain_higher_powers(primes, cap):
+    """(p^e, increment of p) for every p^e <= cap with e >= 3 that does not
+    divide 120120, ascending, in plain Python."""
+    expected = []
+    for p in primes:
+        inc = 1 + (round(15 * math.log2(p)) << 6)
+        e = 3
+        while p**e <= cap:
+            if PATTERN_PERIOD % p**e:
+                expected.append((p**e, inc))
+            e += 1
+    return sorted(expected)
+
+
 def test_cached_powers_stop_below_2_to_64():
     # With limit 2^32 - 1 a block may reach hi = 2^64, so the cached powers
     # of a prime run up to the last one below 2^64 and never wrap.
     primes = primes_up_to(541).primes
     assert len(primes) == 100
     table = PrimeTable(limit=2**32 - 1, primes=primes)
-    expected = []
-    for p in primes.tolist():
-        inc = 1 + (round(15 * math.log2(p)) << 6)
-        e = 3
-        while p**e < 2**64:
-            if PATTERN_PERIOD % p**e:
-                expected.append((p**e, inc))
-            e += 1
     q, inc = table._higher_powers
-    assert list(zip(q.tolist(), inc.tolist())) == sorted(expected)
+    assert list(zip(q.tolist(), inc.tolist())) == _plain_higher_powers(
+        primes.tolist(), 2**64 - 1
+    )
+    # Every limit up to 2048: the cap (limit + 1)^2 - 1 crosses the cube of
+    # each prime up to 157 and many higher powers.
+    primes = primes_up_to(2048).primes.tolist()
+    for limit in range(2, 2049):
+        q, inc = primes_up_to(limit)._higher_powers
+        expected = _plain_higher_powers(primes, (limit + 1) ** 2 - 1)
+        assert list(zip(q.tolist(), inc.tolist())) == expected, limit
 
 
 def test_iter_segments_validates_arguments(monkeypatch):
