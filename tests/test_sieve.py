@@ -445,10 +445,29 @@ def test_iter_segments_workers_agree():
     assert np.array_equal(serial, parallel)
 
 
-def test_pooled_stream_sieves_one_table(tmp_path, monkeypatch):
-    # The parent sieves the table and its workers share it.  Forked workers
-    # inherit the patch, so a table sieved by a worker would show up in the
-    # log too, which is a file because they cannot append to a parent list.
+def test_pooled_stream_builds_no_parent_table(monkeypatch):
+    # Named for the earlier design, in which each pool worker sieved its own
+    # table and the parent none.  The parent now sieves the stream's one
+    # table, the same one a serial stream sieves, and its workers share it.
+    calls = []
+
+    def counting_primes_up_to(limit):
+        calls.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(sieve, "primes_up_to", counting_primes_up_to)
+    pooled = [s.values for s in iter_segments(5000, segment_size=1024, workers=2)]
+    assert calls == [70]
+    serial = [s.values for s in iter_segments(5000, segment_size=1024)]
+    assert calls == [70, 70]
+    assert np.array_equal(np.concatenate(pooled), np.concatenate(serial))
+
+
+def test_pool_worker_sieves_its_table_once(tmp_path, monkeypatch):
+    # The pool's table is sieved once, by the parent; no worker sieves one.
+    # Forked workers inherit the patch, so a table sieved by a worker would
+    # show up in the log too, which is a file because they cannot append to
+    # the parent's list.
     log = tmp_path / "limits"
 
     def logging_primes_up_to(limit):
