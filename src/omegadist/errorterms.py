@@ -2,20 +2,20 @@
 plus least-squares growth exponents.
 
 The tracked quantity is the scaled residual m*N_j(x) - x = m*R_j(x), an
-exact integer (no division by m, no floating subtraction), formed from the
-tallies copied at a geometric schedule of checkpoints.  Growth exponents
-come from fitting log|R| against log x.
+exact integer (no division by m, no floating subtraction), folded from
+the Omega histogram of 1..x kept, once for all moduli, at geometric
+checkpoints.  Growth exponents come from fitting log|R| against log x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .residues import ResidueTally, new_tally, root_table, tally_segment
+from .residues import ResidueTally, fold_classes, root_table
 from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, iter_segments
 
 #: Four checkpoints per decade.
@@ -49,7 +49,7 @@ class GrowthFit:
 
 @dataclass
 class CheckpointSeries:
-    """Copies of one modulus's tally at each checkpoint, ascending in x."""
+    """One modulus's tally of 1..x at each checkpoint x, ascending in x."""
 
     m: int
     checkpoints: list[ResidueTally] = field(default_factory=list)
@@ -107,33 +107,32 @@ def record_many(
 ) -> dict[int, CheckpointSeries]:
     """Record checkpoint series for several moduli in one sieve pass.
 
-    Each modulus keeps one ResidueTally, fed by tally_segment.  A segment
-    with checkpoints inside it is cut at them into pieces that end on a
-    checkpoint; every tally is copied at the end of its piece.  Each piece
-    is histogrammed once for all the moduli, so an extra modulus costs ~64
-    adds per piece, not another pass over the values.
+    A segment is cut at the checkpoints inside it, and each piece's Omega
+    histogram is added once, for all the moduli, to the bins of the next
+    checkpoint.  One cumulative sum gives the histogram of 1..x at every
+    checkpoint x, and one fold_classes all of a modulus's counts.
     """
-    tallies = {m: new_tally(m) for m in dict.fromkeys(moduli)}
-    if not tallies:
-        raise ValueError("need at least one modulus")
+    moduli = list(dict.fromkeys(moduli))
+    if not moduli or min(moduli) < 1:
+        raise ValueError(f"need one or more moduli, each >= 1, got {moduli}")
     schedule = checkpoint_schedule(x_max, ratio)
-    series = {m: CheckpointSeries(m=m) for m in tallies}
+    records = np.zeros((len(schedule), 64), dtype=np.int64)
 
     # x_max is the last checkpoint, so one is always due at or after lo.
     next_cp = 0
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
         base = lo = segment.lo
         while lo < segment.hi:
-            x = schedule[next_cp]
-            hi = min(x + 1, segment.hi)
+            hi = min(schedule[next_cp] + 1, segment.hi)
             piece = OmegaSegment(lo, hi, segment.values[lo - base : hi - base])
-            for tally in tallies.values():
-                tally_segment(tally, piece)
-            if hi == x + 1:
-                for m, tally in tallies.items():
-                    series[m].checkpoints.append(replace(tally, counts=tally.counts.copy()))
-                next_cp += 1
+            records[next_cp] += piece.histogram
+            next_cp += hi - 1 == schedule[next_cp]  # the piece ends on its checkpoint
             lo = hi
+    np.cumsum(records, axis=0, out=records)
+    series = {}
+    for m in moduli:
+        counts = fold_classes(records, m)
+        series[m] = CheckpointSeries(m, [ResidueTally(m, x, c) for x, c in zip(schedule, counts)])
     return series
 
 

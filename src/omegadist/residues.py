@@ -7,11 +7,10 @@ never accumulated per n in floating point: they are always derived from the
 integer tally through the finite Fourier transform, and the inverse transform
 recovers the tally bit for bit (up to the documented rounding tolerance).
 
-Every count, the checkpointed error terms' included, comes from
-tally_segment, which folds a segment's cached 64-bin Omega histogram onto
-the classes with fold_classes, the one such fold: a segment tallied for
-many moduli is read once, and its values must not change after its first
-tally.
+Every count is a 64-bin Omega histogram folded onto the classes by
+fold_classes, the one such fold: tally_segment folds a segment's cached
+histogram (so its values must not change after its first tally), and
+errorterms.record_many the cumulative histogram at each checkpoint.
 """
 
 from __future__ import annotations

@@ -534,11 +534,12 @@ _stream_table: PrimeTable | None = None
 
 def _start_worker(buffer, table: PrimeTable) -> None:
     """Pool initializer: keep a view of the shared buffer and the stream's
-    prime table.  A forked worker shares the parent's table pages; under any
-    other start method the table arrives pickled, once per worker."""
+    prime table, shared if forked, else pickled with its caches writable."""
     global _worker_buffer, _stream_table
     _worker_buffer = np.frombuffer(buffer, dtype=np.uint8)
     _stream_table = table
+    for cache in (table._prime_increments, *table._higher_powers):
+        cache.flags.writeable = False
 
 
 def _sieve_into_buffer(lo: int, hi: int, offset: int) -> None:
@@ -561,9 +562,9 @@ def iter_segments(
 ) -> Iterator[OmegaSegment]:
     """Stream OmegaSegments covering 1..x_max, in ascending order.
 
-    The prime table is sieved once, in the calling process.  With
-    workers > 1 the blocks are computed in a process pool whose workers
-    share that table, but are always yielded in block order, so
+    The prime table is sieved and its caches filled once, in the calling
+    process.  With workers > 1 the blocks are computed in a process pool
+    whose workers share them, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
     x_max must be below 2**64, the bound of omega_block, segment_size at
     most MAX_SEGMENT_SIZE and workers at most MAX_WORKERS.
@@ -579,6 +580,7 @@ def iter_segments(
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     table = primes_up_to(max(2, math.isqrt(x_max)))
+    table._prime_increments, table._higher_powers  # fills the caches
     blocks = segment_bounds(x_max, segment_size)
     if workers == 1:
         for lo, hi in blocks:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from omegadist import sieve
+from omegadist import errorterms, sieve
 from omegadist.errorterms import (
     DEFAULT_RATIO,
     MAX_CHECKPOINTS,
@@ -20,7 +20,14 @@ from omegadist.errorterms import (
     scaled_residuals,
 )
 from omegadist.residues import ResidueTally, new_tally, tally_segment
-from omegadist.sieve import omega_block, omega_histogram, primes_up_to, segment_bounds
+from omegadist.sieve import (
+    OmegaSegment,
+    iter_segments,
+    omega_block,
+    omega_histogram,
+    primes_up_to,
+    segment_bounds,
+)
 
 
 def test_checkpoint_known_example(tally_of):
@@ -157,6 +164,56 @@ def test_record_many_validates():
         record_many([], 1000)
     with pytest.raises(ValueError):
         record_many([0], 1000)
+
+
+def per_modulus_checkpoints(moduli, x_max, segment_size):
+    """(x, counts) at every checkpoint, from one tally per modulus fed each
+    piece by tally_segment and copied at each checkpoint: the reference
+    for record_many's one histogram record."""
+    schedule = checkpoint_schedule(x_max)
+    tallies = {m: new_tally(m) for m in moduli}
+    copies = {m: [] for m in moduli}
+    next_cp = 0
+    for segment in iter_segments(x_max, segment_size=segment_size):
+        lo = segment.lo
+        while lo < segment.hi:
+            x = schedule[next_cp]
+            hi = min(x + 1, segment.hi)
+            values = segment.values[lo - segment.lo : hi - segment.lo]
+            for tally in tallies.values():
+                tally_segment(tally, OmegaSegment(lo, hi, values))
+            if hi == x + 1:
+                for m, tally in tallies.items():
+                    copies[m].append((tally.x, tally.counts.tolist()))
+                next_cp += 1
+            lo = hi
+    return copies
+
+
+@pytest.mark.parametrize("segment_size", [sieve.DEFAULT_SEGMENT_SIZE, 100_003])
+def test_record_many_matches_per_modulus_tallies(segment_size):
+    moduli = range(1, 71)
+    series = record_many(moduli, 10**6, segment_size=segment_size)
+    reference = per_modulus_checkpoints(moduli, 10**6, segment_size)
+    for m in moduli:
+        got = [(cp.x, cp.counts.tolist()) for cp in series[m].checkpoints]
+        assert got == reference[m]
+        for cp in series[m].checkpoints:
+            assert (cp.m, cp.lo, cp.counts.dtype) == (m, 1, np.int64)
+            # Omega(n) < 64 below 2^64, so classes from 64 on stay empty.
+            assert not cp.counts[64:].any()
+
+
+def test_record_many_validates_before_streaming(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the stream started")
+
+    monkeypatch.setattr(errorterms, "iter_segments", no_stream)
+    for moduli in ([], [0], [3, -1]):
+        with pytest.raises(ValueError):
+            record_many(moduli, 1000)
+    with pytest.raises(AssertionError, match="the stream started"):
+        record_many([3], 1000)
 
 
 def tally_with_residuals(m, x, scaled):

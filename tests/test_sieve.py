@@ -5,6 +5,7 @@ argument validation."""
 import bisect
 import math
 import multiprocessing
+import pickle
 import random
 import tracemalloc
 
@@ -485,6 +486,48 @@ def test_pool_worker_sieves_its_table_once(tmp_path, monkeypatch):
         multiprocessing.set_start_method(method, force=True)
     assert len(blocks) == 50
     assert log.read_text().split() == [str(math.isqrt(x_max))]
+
+
+def test_pool_workers_share_the_table_caches(tmp_path, monkeypatch):
+    # The parent fills the table's caches before the pool forks, so no
+    # worker packs the primes' increments again.  The pattern's own call to
+    # _increments is on its handful of primes, not the table's.
+    log = tmp_path / "lengths"
+
+    def logging_increments(primes):
+        with log.open("a") as f:
+            f.write(f"{len(primes)}\n")
+        return increments(primes)
+
+    increments = sieve._increments
+    monkeypatch.setattr(sieve, "_increments", logging_increments)
+    x_max = 50 * 1024
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        blocks = list(iter_segments(x_max, segment_size=1024, workers=2))
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert len(blocks) == 50
+    table_length = len(primes_up_to(math.isqrt(x_max)))
+    assert log.read_text().split().count(str(table_length)) == 1
+
+
+def test_pickled_table_caches_stay_read_only(monkeypatch):
+    # A spawn or forkserver worker gets the table pickled, and unpickling
+    # gives numpy arrays back writable; the initializer seals them again.
+    table = primes_up_to(10_000)
+    table._prime_increments, table._higher_powers
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy._prime_increments.flags.writeable
+    monkeypatch.setattr(sieve, "_worker_buffer", None)
+    monkeypatch.setattr(sieve, "_stream_table", None)
+    sieve._start_worker(bytearray(16), copy)
+    assert sieve._stream_table is copy
+    for cache in (copy._prime_increments, *copy._higher_powers):
+        assert not cache.flags.writeable
+    assert np.array_equal(copy._prime_increments, table._prime_increments)
+    assert all(map(np.array_equal, copy._higher_powers, table._higher_powers))
 
 
 def test_pooled_segments_do_not_alias():
