@@ -493,13 +493,13 @@ def test_pool_workers_share_the_table_caches(tmp_path, monkeypatch):
     # worker packs the primes' increments again.  The pattern's own call to
     # _increments is on its handful of primes, not the table's.
     log = tmp_path / "lengths"
+    increments = sieve._increments
 
     def logging_increments(primes):
         with log.open("a") as f:
             f.write(f"{len(primes)}\n")
         return increments(primes)
 
-    increments = sieve._increments
     monkeypatch.setattr(sieve, "_increments", logging_increments)
     x_max = 50 * 1024
     method = multiprocessing.get_start_method(allow_none=True)
