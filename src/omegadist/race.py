@@ -8,18 +8,18 @@ the first nonzero value sets the starting sign and is not an event.
 
 The scan has two levels.  Each sieve segment is cut into sub-blocks of
 SUB_BLOCK integers (the last one shorter when the segment length is not a
-multiple).  One bincount per COUNT_SLICE values counts each Omega value in
-every sub-block, and the 64 values fold onto the m classes, for all pairs
-at once.  For one pair, let D be Delta just before a sub-block and c, c'
-the counts of j and j' in it.  Inside the sub-block Delta stays within
-[D - c', D + c], so where D > c' or D < -c it never reaches zero: every n
-in the sub-block has the sign of D, there is no event and no tie, and the
-last strict sign stays sign(D), which Delta already had just before the
-sub-block.  Such a sub-block only adds its length to one lead.  The test is
-exact, not a heuristic; the other sub-blocks, in contiguous runs, go
-through the per-n scan, which alone reads each value's class.  Once |Delta|
-outgrows a sub-block, which happens early for m > 2, almost every
-sub-block is skipped and the cost per pair falls from O(x) to
+multiple).  One bincount per COUNT_SLICE values, 64 sub-blocks, counts each
+Omega value in every sub-block, and the 64 values fold onto the m classes,
+for all pairs at once.  For one pair, let D be Delta just before a
+sub-block and c, c' the counts of j and j' in it.  Inside the sub-block
+Delta stays within [D - c', D + c], so where D > c' or D < -c it never
+reaches zero: every n in the sub-block has the sign of D, there is no event
+and no tie, and the last strict sign stays sign(D), which Delta already had
+just before the sub-block.  Such a sub-block only adds its length to one
+lead.  The test is exact, not a heuristic; the other sub-blocks, in
+contiguous runs, go through the per-n scan, which alone reads each value's
+class.  Once |Delta| outgrows a sub-block, which happens early for m > 2,
+almost every sub-block is skipped and the cost per pair falls from O(x) to
 O(x / SUB_BLOCK).  Each side of the test needs only one class count, which
 matters at m = 2: there c + c' is the whole sub-block, while |Delta| stays
 near a sub-block's length below 10^7.
@@ -44,8 +44,9 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 SUB_BLOCK = 1024
 
 # Values per bincount of the sub-block counts, a multiple of SUB_BLOCK: its
-# keys and offsets take 8 bytes a value, whatever the segment size.
-COUNT_SLICE = 1 << 20
+# intp keys and offsets (512 KB each) and 64 * 64 bins fit in L2, whatever
+# the segment size.
+COUNT_SLICE = 1 << 16
 
 # Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
 # all-pairs list grows as m^2.

@@ -401,10 +401,11 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     for q, start, inc in _prime_powers(lo, hi, table):
         # A needle of q's dtype; a Python int would cast all of q.
         dense = int(np.searchsorted(q, q.dtype.type(n // _DENSE_HITS), side="right"))
-        for step, first, add in zip(
-            q[:dense].tolist(), start[:dense].tolist(), inc[:dense].tolist()
-        ):
-            words[first::step] += add
+        # A uint16 add through a view: words[first::step] += int(add) would
+        # convert the int and write the view back through __setitem__.
+        for step, first, add in zip(q[:dense].tolist(), start[:dense].tolist(), inc[:dense]):
+            view = words[first::step]
+            view += add
         _fold_sparse(words, q[dense:], start[dense:], inc[dense:])
     np.bitwise_and(words[:n], 63, out=values, casting="unsafe")
     # T sits this many units below 15 * log2 a (the Notes).
