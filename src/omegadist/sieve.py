@@ -83,11 +83,11 @@ _DENSE_HITS = 128
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
 _PATTERN_PERIOD = 120120
 
-# primes_up_to sieves the odd numbers in segments of this many flags (2^19
-# integers), small enough to stay in cache.  Each segment starts from the
-# odd half of the block pattern, 60060 flags that strike out the multiples
-# of 3, 5, 7, 11 and 13.
-_PRIME_SEGMENT = 1 << 18
+# primes_up_to sieves the odd numbers in segments of this many flags (2^21
+# integers), 1 MB of bools that stays in a core's L2.  Each segment starts
+# from the odd half of the block pattern, 60060 flags that strike out the
+# multiples of 3, 5, 7, 11 and 13.
+_PRIME_SEGMENT = 1 << 20
 
 # The sparse fold adds a hit of every power per round while this many
 # powers can still hit, and then expands the last few powers' hits at once.
@@ -237,7 +237,8 @@ def _sieve_primes(limit: int) -> np.ndarray:
     count = 1
     # Odd n is index (n - 1) // 2.  Every prime p <= isqrt(limit) past the
     # pattern's strikes its odd multiples from p^2 on; next_hit holds the
-    # index of the next one, carried from segment to segment.
+    # index of the next one, carried from segment to segment (and so not
+    # sorted): a segment ending at index b is struck by the p with p^2 <= 2b.
     root = math.isqrt(limit)
     base = _sieve_primes(root).astype(np.int64) if root >= 2 else np.empty(0, np.int64)
     base = base[np.count_nonzero(base <= _PATTERN_PRIMES[-1]) :]
@@ -253,7 +254,7 @@ def _sieve_primes(limit: int) -> np.ndarray:
             # 1 is not prime; the pattern's own primes are.
             segment[0] = False
             segment[[(p - 1) // 2 for p in _PATTERN_PRIMES[1:] if p <= limit]] = True
-        active = int(np.searchsorted(next_hit, b))
+        active = int(np.searchsorted(base, math.isqrt(2 * b), side="right"))
         steps, hits = base[:active], next_hit[:active]
         for step, first in zip(steps.tolist(), hits.tolist()):
             segment[first - a :: step] = False
@@ -317,27 +318,50 @@ def omega_single(n: int) -> int:
     return count
 
 
-def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
-    """Omega(n) for every positive n of an array, by the trial division of
-    omega_single done for all n at once: the divisors 2, 3 and 6k +- 1,
-    each tried on the n whose unfactored rest r still has d * d <= r.
+def _trial_divisors(limit: int) -> np.ndarray:
+    """2, 3 and each 6k +- 1 up to limit, omega_single's divisors, as int64."""
+    k = np.arange(5, limit + 1, 6, dtype=np.int64)
+    divisors = np.concatenate([[2, 3], np.column_stack((k, k + 2)).ravel()])
+    return divisors[divisors <= limit]
 
-    Independent of the sieve, like omega_single; the selftest's oracle for
-    long runs of n.
-    """
+
+def _omega_trial_block(lo: int, hi: int) -> np.ndarray:
+    """Omega(n) for every n in [lo, hi), 1 <= lo < hi, by trial division:
+    each divisor d <= isqrt(hi - 1) strides through the multiples of d, d^2,
+    ... in the block and divides d out of each rest it still divides, so a
+    composite d, whose prime factors went first, never divides.  Independent
+    of the sieve, like omega_single; the selftest's oracle for 1..x_limit."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    count = np.zeros(hi - lo, dtype=np.uint8)
+    for d in _trial_divisors(math.isqrt(hi - 1)).tolist():
+        q = d
+        while (first := (-lo) % q) < hi - lo:
+            view = rest[first::q]
+            divides = view % d == 0
+            np.floor_divide(view, d, out=view, where=divides)
+            count[first::q] += divides
+            q *= d
+    return count + (rest > 1)
+
+
+def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
+    """Omega(n) for every positive n of an array, by trial division with the
+    divisors of omega_single up to isqrt(max n): one table ns % d == 0, a few
+    MB of rows at a time, finds each n's divisors, which then divide it in
+    ascending order as often as they still do.  Independent of the sieve,
+    like omega_single; the selftest's oracle for scattered n."""
     rest = np.array(ns, dtype=np.int64)
     count = np.zeros(len(rest), dtype=np.int64)
-    live = np.arange(len(rest))
-    pairs = itertools.chain.from_iterable((d, d + 2) for d in itertools.count(5, 6))
-    for d in itertools.chain((2, 3), pairs):
-        live = live[rest[live] >= d * d]
-        if not len(live):
-            break
-        hit = live[rest[live] % d == 0]
-        while len(hit):
-            rest[hit] //= d
-            count[hit] += 1
-            hit = hit[rest[hit] % d == 0]
+    divisors = _trial_divisors(math.isqrt(int(rest.max(initial=1))))
+    rows = max(1, (1 << 19) // max(1, len(divisors)))
+    for a in range(0, len(rest), rows):
+        table = rest[a : a + rows, None] % divisors == 0
+        used = table.any(axis=0)
+        for d, column in zip(divisors[used].tolist(), table[:, used].T):
+            hit = np.flatnonzero(column) + a
+            while len(hit := hit[rest[hit] % d == 0]):
+                rest[hit] //= d
+                count[hit] += 1
     return count + (rest > 1)
 
 

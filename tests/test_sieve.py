@@ -23,6 +23,7 @@ from omegadist.sieve import (
     OmegaSegment,
     PrimeTable,
     _prime_powers,
+    _omega_trial_block,
     _omega_trial_division,
     iter_segments,
     omega_block,
@@ -86,6 +87,19 @@ def _edge_limits():
 
 def test_primes_up_to_matches_reference_at_segment_edges_and_squares():
     limits = _edge_limits()
+    reference = _reference_primes(max(limits))
+    for limit in limits:
+        expected = reference[: bisect.bisect_right(reference, limit)]
+        assert primes_up_to(limit).primes.tolist() == expected, limit
+
+
+def test_primes_up_to_strikes_with_every_base_prime_over_many_segments(monkeypatch):
+    """Carried past a segment, the base primes' next hits fall out of
+    ascending order, so the primes that strike a segment are not found by
+    searching those hits: that kept 2,621,441 = 131 * 20011 in the table at
+    2^18 flags a segment, and 10 of these limits at 2^12."""
+    monkeypatch.setattr(sieve, "_PRIME_SEGMENT", 1 << 12)
+    limits = range(100_000, 10**6 + 1, 9973)
     reference = _reference_primes(max(limits))
     for limit in limits:
         expected = reference[: bisect.bisect_right(reference, limit)]
@@ -674,6 +688,75 @@ def test_trial_division_oracle_matches_omega_single():
     high = 10**9 + rng.integers(0, 10**6, size=200)
     assert _omega_trial_division(high).tolist() == [omega_single(int(n)) for n in high]
 
+
+
+def test_trial_block_oracle_matches_omega_single_to_10_to_5():
+    expected = [omega_single(n) for n in range(1, 10**5 + 1)]
+    assert _omega_trial_block(1, 10**5 + 1).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 2),
+        (2, 3),
+        (4, 5),
+        (2**39, 2**39 + 1),
+        (3**25, 3**25 + 1),
+        (3**25 - 40, 3**25 + 40),
+        # p^2 with p = isqrt(hi - 1), the last divisor tried.
+        (1009**2 - 30, 1009**2 + 1),
+        (999_983**2, 999_983**2 + 1),
+        (999_983**2 - 8, 999_983**2 + 8),
+        # p^3, whose third factor p the block divides out on the p^3 slice.
+        (101**3 - 5, 101**3 + 1),
+        (9973**3 - 8, 9973**3 + 8),
+    ],
+)
+def test_trial_block_oracle_at_edge_blocks(lo, hi):
+    assert _omega_trial_block(lo, hi).tolist() == [omega_single(n) for n in range(lo, hi)]
+
+
+def test_trial_division_oracle_on_squares_semiprimes_and_composite_divisors():
+    """Prime squares near 10^9, the largest one setting the last divisor
+    tried; products of two primes just below 31623 = isqrt(10^9) + 1; and
+    n that the composite divisors 25, 35 and 5^2..5^12 divide, with a prime
+    cofactor above the divisors or without one."""
+    primes = [p for p in range(31622, 31400, -1) if omega_single(p) == 1][:6]
+    squares = [p * p for p in primes]
+    products = [p * q for i, p in enumerate(primes) for q in primes[i + 1 :]]
+    composite = [25 * 1_000_003, 35 * 1_000_003, 25 * 31607, 35 * 1009, 5**12, 3 * 5**12]
+    ns = np.array(composite + products + squares, dtype=np.int64)
+    assert _omega_trial_division(ns).tolist() == [omega_single(int(n)) for n in ns]
+
+
+def test_trial_division_oracles_do_not_use_the_sieve(monkeypatch):
+    def fail(*args):
+        pytest.fail("a trial-division oracle called into the sieve")
+
+    for name in ("primes_up_to", "omega_block", "_small_prime_pattern", "_increments"):
+        monkeypatch.setattr(sieve, name, fail)
+    assert _omega_trial_block(1, 2001).tolist() == [omega_single(n) for n in range(1, 2001)]
+    ns = np.array([10**9 + 7, 2**29, 999_983**2, 25 * 1_000_003])
+    assert _omega_trial_division(ns).tolist() == [omega_single(int(n)) for n in ns]
+
+
+if given is not None:
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lo=st.integers(1, 12).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e)),
+        length=st.integers(1, 2048),
+    )
+    def test_trial_block_oracle_matches_omega_single_on_random_blocks(lo, length):
+        expected = [omega_single(n) for n in range(lo, lo + length)]
+        assert _omega_trial_block(lo, lo + length).tolist() == expected
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_trial_block_oracle_matches_omega_single_on_random_blocks():
+        pass
 
 if given is not None:
 
