@@ -4,19 +4,24 @@ plus least-squares growth exponents.
 The tracked quantity is the scaled residual m*N_j(x) - x = m*R_j(x), an
 exact integer (no division by m, no floating subtraction), folded from
 the Omega histogram of 1..x kept, once for all moduli, at geometric
-checkpoints.  Growth exponents come from fitting log|R| against log x.
+checkpoints.  Only the odd n are sieved: Omega is completely additive, so
+Omega(2^e * k) = e + Omega(k), and the histogram of 1..x is the sum over
+e of the histogram of the odd k <= x >> e shifted up e bins.  Growth
+exponents come from fitting log|R| against log x.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .residues import ResidueTally, fold_classes, root_table
-from .sieve import DEFAULT_SEGMENT_SIZE, OmegaSegment, iter_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_histogram
 
 #: Four checkpoints per decade.
 DEFAULT_RATIO = 10.0 ** 0.25
@@ -107,33 +112,51 @@ def record_many(
 ) -> dict[int, CheckpointSeries]:
     """Record checkpoint series for several moduli in one sieve pass.
 
-    A segment is cut at the checkpoints inside it, and each piece's Omega
-    histogram is added once, for all the moduli, to the bins of the next
-    checkpoint.  One cumulative sum gives the histogram of 1..x at every
-    checkpoint x, and one fold_classes all of a modulus's counts.
+    The pass sieves the odd n only, segment_size of them a block, cut at
+    every y = x >> e >= 1 of every checkpoint x; each piece's histogram is
+    added once to the running histogram of the odd n so far, which, shifted
+    up e bins, is added at y to the record of x, the 64-bin Omega histogram
+    of 1..x (Omega(n) < 64 below 2**64).  One fold_classes gives a
+    modulus's counts at every checkpoint.
     """
     moduli = list(dict.fromkeys(moduli))
     if not moduli or min(moduli) < 1:
         raise ValueError(f"need one or more moduli, each >= 1, got {moduli}")
     schedule = checkpoint_schedule(x_max, ratio)
     records = np.zeros((len(schedule), 64), dtype=np.int64)
-
-    # x_max is the last checkpoint, so one is always due at or after lo.
-    next_cp = 0
-    for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        base = lo = segment.lo
-        while lo < segment.hi:
-            hi = min(schedule[next_cp] + 1, segment.hi)
-            piece = OmegaSegment(lo, hi, segment.values[lo - base : hi - base])
-            records[next_cp] += piece.histogram
-            next_cp += hi - 1 == schedule[next_cp]  # the piece ends on its checkpoint
-            lo = hi
-    np.cumsum(records, axis=0, out=records)
+    running = np.zeros(64, dtype=np.int64)
+    # Every (y, a, b, e) in ascending y; x_max is the last y, so each lies
+    # in a block of the stream.
+    cuts = heapq.merge(*(_runs(schedule, e) for e in range(x_max.bit_length())))
+    cut = next(cuts)
+    for segment in iter_segments(x_max, segment_size=segment_size, workers=workers, stride=2):
+        done = 0
+        while cut is not None and cut[0] < segment.hi:
+            y, a, b, e = cut
+            end = (y - segment.lo) // 2 + 1  # the odd n <= y in the block
+            if end > done:
+                running += omega_histogram(segment.values[done:end])
+                done = end
+            records[a:b, e:] += running[: 64 - e]
+            cut = next(cuts, None)
+        if done < len(segment.values):
+            running += omega_histogram(segment.values[done:])
     series = {}
     for m in moduli:
         counts = fold_classes(records, m)
         series[m] = CheckpointSeries(m, [ResidueTally(m, x, c) for x, c in zip(schedule, counts)])
     return series
+
+
+def _runs(schedule: list[int], e: int) -> Iterator[tuple[int, int, int, int]]:
+    """(y, a, b, e) for each maximal run schedule[a:b] of the ascending
+    checkpoints x that share y = x >> e >= 1, in ascending y."""
+    a = bisect_left(schedule, 1 << e)
+    while a < len(schedule):
+        y = schedule[a] >> e
+        b = bisect_left(schedule, (y + 1) << e, a)
+        yield y, a, b, e
+        a = b
 
 
 def _fit_loglog(

@@ -43,6 +43,8 @@ below 2**32, which covers every block below 2**64.
 A stream sieves one prime table, which a pooled stream hands to each
 worker as it starts; the workers send their blocks back through one shared
 buffer of (workers + 2) block slots, not as pickled arrays through a pipe.
+With stride 2 a block and a stream hold the odd n only, one word each,
+from the odd half of the pattern; errorterms lifts them by the powers of 2.
 
 Each OmegaSegment also carries a 64-bin histogram of its values, counted
 on first use and cached, which every residue tally of the segment folds;
@@ -159,9 +161,10 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class OmegaSegment:
-    """Omega values for one contiguous block: values[i] = Omega(lo + i).
+    """Omega values for one block: values[i] = Omega(lo + stride * i).
 
-    The range is [lo, hi), half-open.  uint8 storage is safe because
+    The range is [lo, hi), half-open; a stride-2 segment holds its odd n
+    only, from an odd lo.  uint8 storage is safe because
     Omega(n) <= log2(n) < 64 for any n below 2**64.
 
     `histogram` counts the values once, when it is first read, and every
@@ -173,6 +176,7 @@ class OmegaSegment:
     lo: int
     hi: int
     values: np.ndarray
+    stride: int = 1
 
     @functools.cached_property
     def histogram(self) -> np.ndarray:
@@ -188,11 +192,17 @@ def omega_histogram(values: np.ndarray) -> np.ndarray:
     The values are read in pairs: each uint16 holds two values below 64, so
     a 2^14-bin bincount over half as many elements counts both, and summing
     the (64, 256) table along each axis gives the count of each byte
-    whatever the byte order.  Raises TypeError for values that are not
-    uint8 and ValueError for a value of 64 or more.
+    whatever the byte order; fewer values than those bins take a plain
+    bincount.  Raises TypeError for values that are not uint8 and
+    ValueError for a value of 64 or more.
     """
     if values.dtype != np.uint8:
         raise TypeError(f"need uint8 Omega values, got {values.dtype}")
+    if len(values) < 1 << 14:
+        hist = np.bincount(values, minlength=64)
+        if len(hist) > 64:
+            raise ValueError("Omega values must be below 64")
+        return hist
     even = len(values) - len(values) % 2
     pair_counts = np.bincount(values[:even].view(np.uint16), minlength=1 << 14)
     table = pair_counts[: 1 << 14].reshape(64, 256)
@@ -276,7 +286,7 @@ def _odd_flags() -> np.ndarray:
     half of the block pattern, whose word n is 0 exactly when no pattern
     prime divides n.  Every segment of primes_up_to starts from these flags,
     tiled from its first index.  Read-only."""
-    flags = _small_prime_pattern()[1::2] == 0
+    flags = _small_prime_pattern(2) == 0
     flags.flags.writeable = False
     return flags
 
@@ -330,8 +340,9 @@ def _omega_trial_block(lo: int, hi: int) -> np.ndarray:
     each divisor d <= isqrt(hi - 1) strides through the multiples of d, d^2,
     ... in the block and divides d out of each rest it still divides, so a
     composite d, whose prime factors went first, never divides.  Independent
-    of the sieve, like omega_single; the selftest's oracle for 1..x_limit."""
-    rest = np.arange(lo, hi, dtype=np.int64)
+    of the sieve, like omega_single; the selftest's oracle for 1..x_limit.
+    The rests are int32 where every n fits, which halves their memory."""
+    rest = np.arange(lo, hi, dtype=np.int32 if hi <= 1 << 31 else np.int64)
     count = np.zeros(hi - lo, dtype=np.uint8)
     for d in _trial_divisors(math.isqrt(hi - 1)).tolist():
         q = d
@@ -365,8 +376,9 @@ def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
     return count + (rest > 1)
 
 
-def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
-    """Compute Omega(n) exactly for every n in [lo, hi).
+def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> OmegaSegment:
+    """Compute Omega(n) exactly for every n in [lo, hi), or with stride 2
+    for its odd n: values[i] = Omega(lo + stride * i).
 
     Parameters
     ----------
@@ -374,6 +386,8 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
         Block bounds, 1 <= lo < hi <= 2**64.
     table : PrimeTable
         Must cover at least isqrt(hi - 1).
+    stride : int
+        1, or 2 for an odd lo.
 
     Notes
     -----
@@ -406,7 +420,14 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     is the hit count, and word < T << 6 is the test W < T.  The words are
     read by arithmetic, not through a narrower view, so there is no
     byte-order caveat.
+
+    With stride 2 word i is that of lo + 2i.  The words start from the odd
+    half of the pattern, and 16, 32, ... are left out: each prime power
+    dividing an odd n adds once, an odd q every q words.  A sub-range [a, b)
+    compares its threshold on words (a - lo + 1) // 2 to (b - lo + 1) // 2.
     """
+    if stride not in (1, 2) or stride == 2 and lo % 2 == 0:
+        raise ValueError(f"stride must be 1, or 2 from an odd lo, got {stride} from {lo}")
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
     if hi > 1 << 64:
@@ -416,13 +437,15 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
         raise ValueError(
             f"prime table covers {table.limit} but isqrt(hi - 1) = {root}"
         )
-    n = hi - lo
+    n = (hi - lo + stride - 1) // stride
     # Allocated before the counter words, so that freeing those leaves no
     # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
-    # One spare word past the block takes the sparse fold's overshoots.
-    words = _tile_pattern(lo, n + 1)
-    for q, start, inc in _prime_powers(lo, hi, table):
+    # The pattern tiled from lo's index in it holds the pattern's prime
+    # powers; one spare word past the block takes the sparse fold's overshoots.
+    words = np.empty(n + 1, dtype=np.uint16)
+    _tile(words, _small_prime_pattern(stride), lo // stride)
+    for q, start, inc in _prime_powers(lo, hi, table, stride):
         # A needle of q's dtype; a Python int would cast all of q.
         dense = int(np.searchsorted(q, q.dtype.type(n // _DENSE_HITS), side="right"))
         # A uint16 add through a view: words[first::step] += int(add) would
@@ -438,10 +461,11 @@ def omega_block(lo: int, hi: int, table: PrimeTable) -> OmegaSegment:
     while a < hi:
         b = min(hi, max(a + 1, math.isqrt(2 * a * a)))
         threshold = max(0, math.ceil(_LOG_SCALE * math.log2(a) - shift))
+        i, j = (a - lo + stride - 1) // stride, (b - lo + stride - 1) // stride
         # The hit count is below 64, so this compares the log sums.
-        values[a - lo : b - lo] += words[a - lo : b - lo] < threshold << 6
+        values[i:j] += words[i:j] < threshold << 6
         a = b
-    return OmegaSegment(lo=lo, hi=hi, values=values)
+    return OmegaSegment(lo=lo, hi=hi, values=values, stride=stride)
 
 
 def _increments(primes: np.ndarray) -> np.ndarray:
@@ -452,37 +476,32 @@ def _increments(primes: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _small_prime_pattern() -> np.ndarray:
+def _small_prime_pattern(stride: int = 1) -> np.ndarray:
     """pattern[i] is the sum of the increments of the prime powers q that
     divide _PATTERN_PERIOD and i: the words of every n = i (mod the
-    period) after those powers are sieved.  Read-only, shared by all
-    blocks of the process."""
+    period) after those powers are sieved; with stride 2, the odd half, a
+    copy of period 60060.  Read-only, shared by all blocks of the process."""
     pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint16)
     for p, inc in zip(_PATTERN_PRIMES, _increments(np.array(_PATTERN_PRIMES)).tolist()):
         q = p
         while _PATTERN_PERIOD % q == 0:
             pattern[::q] += inc
             q *= p
+    if stride == 2:
+        pattern = pattern[1::2].copy()
     pattern.flags.writeable = False
     return pattern
 
 
-def _tile_pattern(lo: int, n: int) -> np.ndarray:
-    """The counter words of [lo, lo + n) with the pattern's prime powers
-    already sieved: the pattern tiled from lo mod its period."""
-    words = np.empty(n, dtype=np.uint16)
-    _tile(words, _small_prime_pattern(), lo)
-    return words
-
-
 def _prime_powers(
-    lo: int, hi: int, table: PrimeTable
+    lo: int, hi: int, table: PrimeTable, stride: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the prime powers q = p^e < hi with p <= isqrt(hi - 1) that have
-    a multiple in [lo, hi), less those in the small-prime pattern, in three
-    groups: the primes, their squares and the higher powers.  Each group is
-    q ascending (uint32 for the primes, uint64 for the powers), the offset
-    of its first multiple (int64) and the packed increment (uint16)."""
+    a multiple among lo, lo + stride, ... below hi, less those in the
+    small-prime pattern, in three groups: the primes, their squares and the
+    higher powers.  Each group is q ascending (uint32 for the primes,
+    uint64 for the powers), the index of its first multiple among the
+    block's values (int64) and the packed increment (uint16)."""
     root = np.uint32(math.isqrt(hi - 1))
     count = int(np.searchsorted(table.primes, root, side="right"))
     primes = table.primes[:count]
@@ -490,29 +509,38 @@ def _prime_powers(
     # The pattern's primes are the smallest primes, and 4 the smallest
     # square, so they are a prefix of their group.
     skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
-    yield _first_hits(lo, hi, primes[skip:], inc[skip:])
+    yield _first_hits(lo, hi, stride, primes[skip:], inc[skip:])
     # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
     # e >= 3 is a cached power of such a p.
     squares = primes.astype(np.uint64)
     squares *= squares
     skip = int(np.count_nonzero(_PATTERN_PERIOD % squares[:1] == 0))
-    yield _first_hits(lo, hi, squares[skip:], inc[skip:])
+    yield _first_hits(lo, hi, stride, squares[skip:], inc[skip:])
     powers, power_inc = table._higher_powers
+    if stride == 2:  # 16, 32, ... divide no odd n
+        odd = (powers & np.uint64(1)) != 0
+        powers, power_inc = powers[odd], power_inc[odd]
     count = int(np.searchsorted(powers, np.uint64(hi - 1), side="right"))
-    yield _first_hits(lo, hi, powers[:count], power_inc[:count])
+    yield _first_hits(lo, hi, stride, powers[:count], power_inc[:count])
 
 
 def _first_hits(
-    lo: int, hi: int, q: np.ndarray, inc: np.ndarray
+    lo: int, hi: int, stride: int, q: np.ndarray, inc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, start, inc) for the q with a multiple in [lo, hi), start being
-    the offset of the first."""
+    """(q, start, inc) for the q with a multiple among lo, lo + stride, ...
+    below hi (odd q for stride 2), start being the index of the first."""
     # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
     start = np.uint64(lo - 1) % q
     np.subtract(q, start, out=start)
     start -= np.uint64(1)
-    # Offsets below the block length fit int64 unchanged.
-    hit = start < hi - lo
+    if stride == 2:
+        # The first odd multiple is lo + start, or lo + start + q for odd
+        # start, index start // 2 + q // 2 + 1: start + q wraps for q > 2**63.
+        odd = start & np.uint64(1)
+        start >>= np.uint64(1)
+        start += odd * (q // 2 + 1)
+    # Indices below the block length fit int64 unchanged.
+    hit = start < (hi - lo + stride - 1) // stride
     return q[hit], start[hit].view(np.int64), inc[hit]
 
 
@@ -567,9 +595,10 @@ def _start_worker(buffer, table: PrimeTable) -> None:
         cache.flags.writeable = False
 
 
-def _sieve_into_buffer(lo: int, hi: int, offset: int) -> None:
+def _sieve_into_buffer(lo: int, hi: int, offset: int, stride: int) -> None:
     """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
-    _worker_buffer[offset : offset + hi - lo] = omega_block(lo, hi, _stream_table).values
+    values = omega_block(lo, hi, _stream_table, stride=stride).values
+    _worker_buffer[offset : offset + len(values)] = values
 
 
 def segment_bounds(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
@@ -584,15 +613,17 @@ def iter_segments(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
+    stride: int = 1,
 ) -> Iterator[OmegaSegment]:
-    """Stream OmegaSegments covering 1..x_max, in ascending order.
+    """Stream OmegaSegments covering 1..x_max, or with stride 2 its odd n,
+    in ascending order, segment_size values a block from an odd lo.
 
     The prime table is sieved and its caches filled once, in the calling
     process.  With workers > 1 the blocks are computed in a process pool
     whose workers share them, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
     x_max must be below 2**64, the bound of omega_block, segment_size at
-    most MAX_SEGMENT_SIZE and workers at most MAX_WORKERS.
+    most MAX_SEGMENT_SIZE, workers at most MAX_WORKERS and stride 1 or 2.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
@@ -604,12 +635,14 @@ def iter_segments(
         )
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
     table = primes_up_to(max(2, math.isqrt(x_max)))
     table._prime_increments, table._higher_powers  # fills the caches
-    blocks = segment_bounds(x_max, segment_size)
+    blocks = segment_bounds(x_max, stride * segment_size)
     if workers == 1:
         for lo, hi in blocks:
-            yield omega_block(lo, hi, table)
+            yield omega_block(lo, hi, table, stride=stride)
         return
     # Imported here: it loads the multiprocessing heap, which a serial
     # stream does not need.
@@ -626,14 +659,14 @@ def iter_segments(
         max_workers=workers, initializer=_start_worker, initargs=(buffer, table)
     ) as pool:
         pending = deque(
-            (job, pool.submit(_sieve_into_buffer, *job))
+            (job, pool.submit(_sieve_into_buffer, *job, stride))
             for job in itertools.islice(jobs, slots)
         )
         while pending:
             (lo, hi, offset), future = pending.popleft()
             future.result()
-            values = shared[offset : offset + hi - lo].copy()
+            values = shared[offset : offset + (hi - lo + stride - 1) // stride].copy()
             job = next(jobs, None)
             if job is not None:
-                pending.append((job, pool.submit(_sieve_into_buffer, *job)))
-            yield OmegaSegment(lo=lo, hi=hi, values=values)
+                pending.append((job, pool.submit(_sieve_into_buffer, *job, stride)))
+            yield OmegaSegment(lo=lo, hi=hi, values=values, stride=stride)

@@ -142,8 +142,10 @@ def test_record_many_cuts_segments_at_checkpoints(segment_size, x_max):
 
 
 def test_record_many_histograms_each_piece_once(monkeypatch):
-    """Twelve moduli share one histogram per piece: a piece ends at each
-    checkpoint and at each segment's end."""
+    """Twelve moduli share one histogram per piece of the odd stream: a
+    piece ends at each distinct cut x >> e of a checkpoint x and at each
+    odd block's end, and the pieces cover the odd n <= x_max once.  Ends
+    are counted in odd n: (y + 1) // 2 odd n are <= y."""
     x_max, segment_size = 5000, 1031
     calls = []
 
@@ -151,12 +153,28 @@ def test_record_many_histograms_each_piece_once(monkeypatch):
         calls.append(len(values))
         return omega_histogram(values)
 
-    monkeypatch.setattr(sieve, "omega_histogram", counting_histogram)
+    monkeypatch.setattr(errorterms, "omega_histogram", counting_histogram)
     record_many(range(1, 13), x_max, segment_size=segment_size)
-    ends = {x + 1 for x in checkpoint_schedule(x_max)}
-    ends |= {hi for _, hi in segment_bounds(x_max, segment_size)}
+    schedule = checkpoint_schedule(x_max)
+    ends = {((x >> e) + 1) // 2 for x in schedule for e in range(x.bit_length())}
+    ends |= {hi // 2 for _, hi in segment_bounds(x_max, 2 * segment_size)}
     assert len(calls) == len(ends)
-    assert sum(calls) == x_max
+    assert sum(calls) == (x_max + 1) // 2
+
+
+def test_record_many_on_a_dense_schedule_matches_one_block():
+    """At ratio 1.001 to 10^5 most checkpoints share their cuts x >> e with
+    others; each checkpoint's counts are the class counts of the first x
+    values of one stride-1 block of 1..10^5, counted by a cumulative sum
+    per class."""
+    x_max, moduli = 10**5, range(1, 14)
+    series = record_many(moduli, x_max, 1.001)
+    values = omega_block(1, x_max + 1, primes_up_to(math.isqrt(x_max))).values
+    for m in moduli:
+        running = np.cumsum(values[:, None] % m == np.arange(m), axis=0)
+        assert [cp.x for cp in series[m].checkpoints] == checkpoint_schedule(x_max, 1.001)
+        for cp in series[m].checkpoints:
+            assert cp.counts.tolist() == running[cp.x - 1].tolist(), (m, cp.x)
 
 
 def test_record_many_validates():

@@ -186,6 +186,14 @@ def test_tally_segment_refuses_other_dtypes(dtype):
         tally_segment(new_tally(3), segment)
 
 
+def test_tally_segment_refuses_an_odd_segment():
+    segment = omega_block(1, 101, primes_up_to(10), stride=2)
+    tally = new_tally(3)
+    with pytest.raises(ValueError, match="stride-2"):
+        tally_segment(tally, segment)
+    assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
+
+
 def test_tally_segment_refuses_values_from_64():
     segment = OmegaSegment(lo=1, hi=4, values=np.array([1, 64, 2], dtype=np.uint8))
     tally = new_tally(3)

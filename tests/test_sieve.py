@@ -432,6 +432,82 @@ def test_omega_block_validates_arguments():
         omega_block(2**64 - 4, 2**64 + 1, table)
 
 
+if given is not None:
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.integers(1, 13).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e)),
+        length=st.integers(1, 2048),
+    )
+    @example(lo=1, length=1)
+    @example(lo=PATTERN_PERIOD - 1, length=2048)
+    def test_odd_block_is_every_other_value(high_table, lo, length):
+        """A stride-2 block is the stride-1 block's odd n: the odd half of
+        the pattern, without 16, 32, ..., and odd multiples halved into
+        indices."""
+        lo |= 1
+        whole = omega_block(lo, lo + length, high_table).values
+        odd = omega_block(lo, lo + length, high_table, stride=2)
+        assert (odd.lo, odd.hi, odd.stride) == (lo, lo + length, 2)
+        assert odd.values.tolist() == whole[::2].tolist()
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_odd_block_is_every_other_value():
+        pass
+
+
+@pytest.mark.parametrize(
+    "lo, length",
+    [
+        (3**40, 1),  # 40 hits
+        (541**7, 1),
+        (3**40 - 4000, 4001),  # ends on 3^40, an odd multiple at an even offset
+        # Past q = 3^40 the offset start = 2q - lo is odd, and start + q =
+        # 2**64 + 200 would wrap to the index 100 of this block.
+        (3 * 3**40 - 2**64 - 200, 4000),
+        (541**7 + 2, 4000),
+    ],
+)
+def test_odd_block_near_2_to_64(lo, length):
+    """Odd blocks near the top of the word with a table that reaches 2^32 - 1
+    but holds the primes up to 541 only.  Past an odd power q > 2**63 the
+    next odd multiple 3q lies above 2**64, and an index computed through
+    start + q would wrap into the block at lo = 3q - 2**64 - 2k."""
+    table = PrimeTable(limit=2**32 - 1, primes=primes_up_to(541).primes)
+    whole = omega_block(lo, lo + length, table).values
+    odd = omega_block(lo, lo + length, table, stride=2).values
+    assert odd.tolist() == whole[::2].tolist()
+    if length == 1:
+        assert odd.tolist() == [omega_single(lo)]
+
+
+def test_omega_block_validates_the_stride():
+    table = primes_up_to(10)
+    for lo, stride in ((1, 0), (1, 3), (1, -1), (2, 2)):
+        with pytest.raises(ValueError, match="stride must be 1, or 2 from an odd lo"):
+            omega_block(lo, 10, table, stride=stride)
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 3, 1031])
+def test_odd_stream_covers_the_odd_n(segment_size):
+    """Every x_max to 60: the blocks start at odd lo, each hi is the next
+    lo, the last hi is x_max + 1, and the values are Omega of the odd n <=
+    x_max, segment_size of them a block."""
+    expected = [omega_single(n) for n in range(1, 61)]
+    for x_max in range(1, 61):
+        segments = list(iter_segments(x_max, segment_size=segment_size, stride=2))
+        assert segments[0].lo == 1 and segments[-1].hi == x_max + 1
+        for a, b in zip(segments, segments[1:]):
+            assert a.hi == b.lo
+        for segment in segments:
+            assert segment.lo % 2 == 1 and segment.stride == 2
+            assert len(segment.values) == len(range(segment.lo, segment.hi, 2)) <= segment_size
+        values = np.concatenate([segment.values for segment in segments])
+        assert values.tolist() == expected[: x_max : 2], x_max
+
+
 def test_segment_bounds_cover_exactly():
     bounds = list(segment_bounds(10**5, 2**12))
     assert bounds[0][0] == 1
@@ -571,6 +647,23 @@ def test_pooled_stream_under_spawn(start_method):
     assert np.concatenate(pooled).tobytes() == np.concatenate(serial).tobytes()
 
 
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_pooled_odd_stream_matches_the_serial_one(start_method):
+    # Each slot of the shared buffer is segment_size wide; an odd block
+    # fills it with the values of twice as many integers.
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(start_method, force=True)
+    try:
+        pooled = list(iter_segments(20_001, segment_size=1031, workers=2, stride=2))
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    serial = list(iter_segments(20_001, segment_size=1031, stride=2))
+    assert [(s.lo, s.hi, s.stride) for s in pooled] == [(s.lo, s.hi, 2) for s in serial]
+    assert np.concatenate([s.values for s in pooled]).tobytes() == np.concatenate(
+        [s.values for s in serial]
+    ).tobytes()
+
+
 def test_stream_schedule_memory_is_bounded():
     # The block schedule of 10^9 in 1024-wide blocks is about a million
     # bounds; they are made as they are read, not listed up front.
@@ -668,6 +761,9 @@ def test_iter_segments_validates_arguments(monkeypatch):
         next(iter_segments(10, workers=sieve.MAX_WORKERS + 1))
     with pytest.raises(ValueError, match="segment_size"):
         next(iter_segments(10, segment_size=sieve.MAX_SEGMENT_SIZE + 1))
+    for stride in (0, 3, -1):
+        with pytest.raises(ValueError, match="stride must be 1 or 2"):
+            next(iter_segments(10, stride=stride))
 
     # No block reaches past 2**64, so the stream is refused before it asks
     # for a prime table to 2**32 (4 GiB).
@@ -785,6 +881,17 @@ else:
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_segment_histogram_matches_bincount():
         pass
+
+
+@pytest.mark.parametrize("length", [1, 2, 2**14 - 1, 2**14, 2**14 + 1])
+def test_histogram_on_both_sides_of_the_paired_count(length):
+    """Below 2^14 values a plain bincount, from 2^14 on the paired count:
+    both give the 64-bin histogram and refuse a value of 64."""
+    values = np.random.default_rng(length).integers(0, 64, length, dtype=np.uint8)
+    assert sieve.omega_histogram(values).tolist() == np.bincount(values, minlength=64).tolist()
+    values[-1] = 64
+    with pytest.raises(ValueError, match="below 64"):
+        sieve.omega_histogram(values)
 
 
 def test_uint8_headroom():
