@@ -11,6 +11,7 @@ every prime of a PrimeTable; each identity check builds one table.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,9 +57,18 @@ def zeta_ref(s: complex) -> complex:
 
     zeta(s) ~ sum_{n<=N} n^(-s) + N^(1-s)/(s-1) with N = DEFAULT_ZETA_TERMS;
     the second term is the integral comparison of the discarded tail,
-    leaving an error of about half the last term.
+    leaving an error of about half the last term.  Each value is summed
+    once and remembered: the identity checks ask for the same few s again.
     """
     s = _check_s(s, "zeta_ref")
+    # 0.0 and -0.0 compare equal, but the sum of a -0.0 imaginary part may
+    # carry zeros of the other sign, so the sign is part of the key.
+    return _zeta_sum(s, math.copysign(1.0, s.imag))
+
+
+@functools.lru_cache(maxsize=256)
+def _zeta_sum(s: complex, imag_sign: float) -> complex:
+    """zeta_ref of a checked s whose imaginary part has imag_sign."""
     n = np.arange(1, DEFAULT_ZETA_TERMS + 1, dtype=np.float64)
     head = complex(np.sum(n ** (-s)))
     tail = DEFAULT_ZETA_TERMS ** (1.0 - s) / (s - 1.0)

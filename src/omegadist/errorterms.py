@@ -4,24 +4,23 @@ plus least-squares growth exponents.
 The tracked quantity is the scaled residual m*N_j(x) - x = m*R_j(x), an
 exact integer (no division by m, no floating subtraction), folded from
 the Omega histogram of 1..x kept, once for all moduli, at geometric
-checkpoints.  Only the odd n are sieved: Omega is completely additive, so
-Omega(2^e * k) = e + Omega(k), and the histogram of 1..x is the sum over
-e of the histogram of the odd k <= x >> e shifted up e bins.  Growth
-exponents come from fitting log|R| against log x.
+checkpoints.  Only the n coprime to 6 are sieved: Omega is completely
+additive, so Omega(2^a * 3^b * k) = a + b + Omega(k), and the histogram of
+1..x is the sum over d = 2^a * 3^b <= x of the histogram of the k <= x // d
+coprime to 6 shifted up a + b bins.  Growth exponents come from fitting
+log|R| against log x.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .residues import ResidueTally, fold_classes, root_table
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_histogram
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_histogram, wheel_count
 
 #: Four checkpoints per decade.
 DEFAULT_RATIO = 10.0 ** 0.25
@@ -32,6 +31,18 @@ MIN_FIT_POINTS = 5
 #: Most checkpoints a schedule may hold.  A ratio closer to 1 than this
 #: allows is refused before the loop, which would otherwise run for hours.
 MAX_CHECKPOINTS = 100_000
+
+# record_many adds at most this many runs at once, which bounds its
+# scratch arrays to a few MB.
+_CHUNK_RUNS = 1 << 14
+
+# _lift_runs holds the runs of at most about this many (d, checkpoint)
+# pairs at once.
+_CHUNK_CELLS = 1 << 18
+
+# Pieces of the stream at least this long are histogrammed one by one;
+# shorter ones share one labelled bincount.
+_LONG_PIECE = 1 << 11
 
 
 class InsufficientDataError(ValueError):
@@ -112,35 +123,56 @@ def record_many(
 ) -> dict[int, CheckpointSeries]:
     """Record checkpoint series for several moduli in one sieve pass.
 
-    The pass sieves the odd n only, segment_size of them a block, cut at
-    every y = x >> e >= 1 of every checkpoint x; each piece's histogram is
-    added once to the running histogram of the odd n so far, which, shifted
-    up e bins, is added at y to the record of x, the 64-bin Omega histogram
-    of 1..x (Omega(n) < 64 below 2**64).  One fold_classes gives a
-    modulus's counts at every checkpoint.
+    The pass sieves the n coprime to 6 only, segment_size of them a block.
+    The record of x is the 64-bin Omega histogram of 1..x (Omega(n) < 64
+    below 2**64), the sum over d = 2^a * 3^b <= x of the histogram of the
+    n <= x // d coprime to 6 shifted up a + b bins.  For each d the
+    checkpoints fall into runs that share that histogram; at the cut where
+    the stream has read a run's n, the running histogram is added to the
+    difference row of the run's first checkpoint and taken from the row
+    past its last, in bulk for many runs at once.  One cumulative sum over
+    the rows gives every record, and one fold_classes a modulus's counts at
+    every checkpoint.
     """
     moduli = list(dict.fromkeys(moduli))
     if not moduli or min(moduli) < 1:
         raise ValueError(f"need one or more moduli, each >= 1, got {moduli}")
     schedule = checkpoint_schedule(x_max, ratio)
-    records = np.zeros((len(schedule), 64), dtype=np.int64)
-    running = np.zeros(64, dtype=np.int64)
-    # Every (y, a, b, e) in ascending y; x_max is the last y, so each lies
-    # in a block of the stream.
-    cuts = heapq.merge(*(_runs(schedule, e) for e in range(x_max.bit_length())))
-    cut = next(cuts)
-    for segment in iter_segments(x_max, segment_size=segment_size, workers=workers, stride=2):
-        done = 0
-        while cut is not None and cut[0] < segment.hi:
-            y, a, b, e = cut
-            end = (y - segment.lo) // 2 + 1  # the odd n <= y in the block
-            if end > done:
-                running += omega_histogram(segment.values[done:end])
-                done = end
-            records[a:b, e:] += running[: 64 - e]
-            cut = next(cuts, None)
-        if done < len(segment.values):
-            running += omega_histogram(segment.values[done:])
+    # The n coprime to 6 are products of primes >= 5, so every one up to
+    # x_max has Omega(n) < bins, the least with 5**bins > x_max.
+    bins = 1
+    while 5**bins <= x_max:
+        bins += 1
+    # A run's bins land at columns a + b to a + b + bins - 1 of its row,
+    # and 2^(a + b) <= x_max, so none reaches the next row; the last row
+    # takes the subtractions past the last checkpoint.
+    width = max(64, x_max.bit_length() - 1 + bins)
+    segments = iter_segments(x_max, segment_size=segment_size, workers=workers, wheel=6)
+    # The first block checks x_max before the runs are built, and a pool
+    # sieves on while they are.
+    segment = next(segments)
+    cuts, plus, minus = _lift_runs(schedule, width)
+    rows = np.zeros((len(schedule) + 1, width), dtype=np.int64)
+    cells = rows.reshape(-1)
+    running = np.zeros(bins, dtype=np.int64)
+    first = start = 0  # the next run; the stream position of the block
+    while segment is not None:
+        values = segment.values
+        stop = int(np.searchsorted(cuts, start + len(values), side="right"))
+        done = 0  # the block's values in running
+        for a in range(first, stop, _CHUNK_RUNS):
+            b = min(a + _CHUNK_RUNS, stop)
+            ends, which = np.unique(cuts[a:b] - start, return_inverse=True)
+            hists = running + _cumulative_histograms(values[done : ends[-1]], ends - done, bins)
+            running, done = hists[-1].copy(), ends[-1]
+            _add_runs(cells, hists[which], plus[a:b], minus[a:b])
+        if done < len(values):
+            running = running + _cumulative_histograms(values[done:], [len(values) - done], bins)[-1]
+        first, start = stop, start + len(values)
+        segment = next(segments, None)
+    del cuts, plus, minus  # freed before the checkpoints are built
+    np.cumsum(rows, axis=0, out=rows)
+    records = rows[:-1, :64]
     series = {}
     for m in moduli:
         counts = fold_classes(records, m)
@@ -148,15 +180,73 @@ def record_many(
     return series
 
 
-def _runs(schedule: list[int], e: int) -> Iterator[tuple[int, int, int, int]]:
-    """(y, a, b, e) for each maximal run schedule[a:b] of the ascending
-    checkpoints x that share y = x >> e >= 1, in ascending y."""
-    a = bisect_left(schedule, 1 << e)
-    while a < len(schedule):
-        y = schedule[a] >> e
-        b = bisect_left(schedule, (y + 1) << e, a)
-        yield y, a, b, e
-        a = b
+def _lift_runs(schedule: list[int], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of record_many's lift, sorted by their cut.
+
+    For each d = 2^a * 3^b up to the last checkpoint, a run is a maximal
+    range of checkpoints x >= d that share p >= 1, the number of n <= x // d
+    coprime to 6: the cut, where the stream has read those p values.  For
+    each run, ascending in the cut, come the cut, the flat cell of a
+    (len(schedule) + 1)-row table of width columns that starts the run's
+    first row at column a + b, and that of the row past its last.  The d
+    are taken a few at a time, each a row of p against every checkpoint.
+    """
+    xs = np.array(schedule, dtype=np.uint64)
+    bits = schedule[-1].bit_length()
+    smooth = [
+        (2**a * 3**b, a + b) for a in range(bits) for b in range(bits) if 2**a * 3**b <= schedule[-1]
+    ]
+    step = max(1, _CHUNK_CELLS // len(xs))
+    cuts, plus, minus = [], [], []
+    for i in range(0, len(smooth), step):
+        d, shift = (np.array(column, dtype=np.uint64) for column in zip(*smooth[i : i + step]))
+        # p[k, j] for d[k] and xs[j], with a column of p(0) = 0 in front:
+        # a run starts where p changes, and the first x >= d starts one.
+        p = np.zeros((len(d), len(xs) + 1), dtype=np.uint64)
+        p[:, 1:] = wheel_count(xs // d[:, None])
+        starts = np.flatnonzero(p[:, 1:] != p[:, :-1])
+        row, column = np.divmod(starts, len(xs))
+        # A run ends where the next one of its d starts, or at the end.
+        end = np.append(column[1:], len(xs))
+        end[:-1][row[1:] != row[:-1]] = len(xs)
+        base = shift[row].astype(np.int64)
+        cuts.append(p.reshape(-1)[starts + row + 1].astype(np.int64))
+        plus.append(column * width + base)
+        minus.append(end * width + base)
+    cuts, plus, minus = (np.concatenate(parts) for parts in (cuts, plus, minus))
+    order = np.argsort(cuts, kind="stable")
+    return cuts[order], plus[order], minus[order]
+
+
+def _add_runs(cells: np.ndarray, hists: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> None:
+    """Add row i of hists to the cells from plus[i] on and take it from the
+    cells from minus[i] on, in one np.add.at, which adds once for every run
+    where several runs share a cell."""
+    at = np.concatenate((plus, minus))[:, None] + np.arange(hists.shape[1])
+    np.add.at(cells, at, np.concatenate((hists, -hists)))
+
+
+def _cumulative_histograms(values: np.ndarray, ends, bins: int) -> np.ndarray:
+    """Row k is the histogram of values[: ends[k]] in its first bins bins,
+    for ascending ends whose last is len(values).  Each piece between the
+    ends at least _LONG_PIECE long is counted by one omega_histogram, and
+    the shorter ones all by one bincount of their values labelled with
+    their piece."""
+    ends = np.asarray(ends, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
+    hists = np.zeros((len(ends), bins), dtype=np.int64)
+    long = lengths >= _LONG_PIECE
+    for k in np.flatnonzero(long).tolist():
+        hists[k] = omega_histogram(values[starts[k] : ends[k]])[:bins]
+    short = np.flatnonzero(~long)
+    if len(short):
+        # The short pieces' values one after another, labelled k * bins.
+        size = lengths[short]
+        at = np.repeat(starts[short] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        labels = np.repeat(np.arange(0, len(short) * bins, bins), size) + values[at]
+        hists[short] = np.bincount(labels, minlength=len(short) * bins).reshape(-1, bins)
+    return np.cumsum(hists, axis=0, out=hists)
 
 
 def _fit_loglog(

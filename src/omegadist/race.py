@@ -158,8 +158,8 @@ def _scan(
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
     offsets = np.empty(0, dtype=np.intp)
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        if segment.stride != 1:
-            raise ValueError(f"a race needs every n, got a stride-{segment.stride} segment")
+        if segment.wheel != 1:
+            raise ValueError(f"a race needs every n, got a wheel-{segment.wheel} segment")
         values = segment.values
         size = min(len(values), COUNT_SLICE)
         if len(offsets) < size:

@@ -90,13 +90,13 @@ def new_tally(m: int, lo: int = 1) -> ResidueTally:
 def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
     """Fold one sieve segment into the tally, in place.
 
-    Segments must hold every n (stride 1) and arrive contiguously:
+    Segments must hold every n (wheel 1) and arrive contiguously:
     segment.lo == tally.x + 1.  The segment's cached histogram is folded
     by fold_classes, never by per-n division, so tallying one segment for
     k moduli costs one pass over its values and k folds of 64 bins.
     """
-    if segment.stride != 1:
-        raise ValueError(f"a tally needs every n, got a stride-{segment.stride} segment")
+    if segment.wheel != 1:
+        raise ValueError(f"a tally needs every n, got a wheel-{segment.wheel} segment")
     if segment.lo != tally.x + 1:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"

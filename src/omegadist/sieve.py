@@ -43,8 +43,10 @@ below 2**32, which covers every block below 2**64.
 A stream sieves one prime table, which a pooled stream hands to each
 worker as it starts; the workers send their blocks back through one shared
 buffer of (workers + 2) block slots, not as pickled arrays through a pipe.
-With stride 2 a block and a stream hold the odd n only, one word each,
-from the odd half of the pattern; errorterms lifts them by the powers of 2.
+With wheel 6 a block and a stream hold the n coprime to 6 only, the next
+spoke of the same pre-sieve: they form two lanes, n = 1 and n = 5 (mod 6),
+each a progression of step 6 sieved from its own sixth of the pattern, and
+errorterms lifts them by the powers 2^a * 3^b.
 
 Each OmegaSegment also carries a 64-bin histogram of its values, counted
 on first use and cached, which every residue tally of the segment folds;
@@ -67,6 +69,9 @@ import numpy as np
 # overhead, small enough that the block's uint16 counter words stay
 # cache-friendly.
 DEFAULT_SEGMENT_SIZE = 1 << 20
+
+# omega_histogram counts this many pairs of values per bincount.
+_PAIR_SLICE = 1 << 16
 
 # Fixed-point units per bit of the log accumulator.  An n below 2**64 sums
 # at most 15 * 64 + 32 = 992 units, which fits its word's 10-bit field; the
@@ -161,10 +166,11 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class OmegaSegment:
-    """Omega values for one block: values[i] = Omega(lo + stride * i).
+    """Omega values for one block: values[i] = Omega of the i-th n of
+    [lo, hi), half-open, that is coprime to wheel.
 
-    The range is [lo, hi), half-open; a stride-2 segment holds its odd n
-    only, from an odd lo.  uint8 storage is safe because
+    Wheel 1 holds every n, values[i] = Omega(lo + i); wheel 6 the n coprime
+    to 6 only, in ascending order.  uint8 storage is safe because
     Omega(n) <= log2(n) < 64 for any n below 2**64.
 
     `histogram` counts the values once, when it is first read, and every
@@ -176,7 +182,7 @@ class OmegaSegment:
     lo: int
     hi: int
     values: np.ndarray
-    stride: int = 1
+    wheel: int = 1
 
     @functools.cached_property
     def histogram(self) -> np.ndarray:
@@ -193,8 +199,9 @@ def omega_histogram(values: np.ndarray) -> np.ndarray:
     a 2^14-bin bincount over half as many elements counts both, and summing
     the (64, 256) table along each axis gives the count of each byte
     whatever the byte order; fewer values than those bins take a plain
-    bincount.  Raises TypeError for values that are not uint8 and
-    ValueError for a value of 64 or more.
+    bincount.  The pairs are counted _PAIR_SLICE at a time, which keeps
+    bincount's intp copy of them at 512 KB.  Raises TypeError for values
+    that are not uint8 and ValueError for a value of 64 or more.
     """
     if values.dtype != np.uint8:
         raise TypeError(f"need uint8 Omega values, got {values.dtype}")
@@ -203,14 +210,19 @@ def omega_histogram(values: np.ndarray) -> np.ndarray:
         if len(hist) > 64:
             raise ValueError("Omega values must be below 64")
         return hist
-    even = len(values) - len(values) % 2
-    pair_counts = np.bincount(values[:even].view(np.uint16), minlength=1 << 14)
-    table = pair_counts[: 1 << 14].reshape(64, 256)
+    pairs = values[: len(values) - len(values) % 2].view(np.uint16)
+    pair_counts = np.zeros(1 << 14, dtype=np.int64)
+    for a in range(0, len(pairs), _PAIR_SLICE):
+        counts = np.bincount(pairs[a : a + _PAIR_SLICE], minlength=1 << 14)
+        if len(counts) > 1 << 14:
+            raise ValueError("Omega values must be below 64")
+        pair_counts += counts
+    table = pair_counts.reshape(64, 256)
     hist = table.sum(axis=0)
     hist[:64] += table.sum(axis=1)
-    if even < len(values):
+    if len(values) % 2:
         hist[values[-1]] += 1
-    if len(pair_counts) > 1 << 14 or hist[64:].any():
+    if hist[64:].any():
         raise ValueError("Omega values must be below 64")
     return hist[:64]
 
@@ -376,9 +388,17 @@ def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
     return count + (rest > 1)
 
 
-def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> OmegaSegment:
-    """Compute Omega(n) exactly for every n in [lo, hi), or with stride 2
-    for its odd n: values[i] = Omega(lo + stride * i).
+def wheel_count(y):
+    """The number of n in 1..y coprime to 6, for y >= 0; elementwise on an
+    array of unsigned y."""
+    q = y // 6
+    r = y - 6 * q
+    return 2 * q + (r >= 1) + (r >= 5)
+
+
+def omega_block(lo: int, hi: int, table: PrimeTable, *, wheel: int = 1) -> OmegaSegment:
+    """Compute Omega(n) exactly for every n in [lo, hi), or with wheel 6 for
+    its n coprime to 6, in ascending order.
 
     Parameters
     ----------
@@ -386,8 +406,8 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> Omeg
         Block bounds, 1 <= lo < hi <= 2**64.
     table : PrimeTable
         Must cover at least isqrt(hi - 1).
-    stride : int
-        1, or 2 for an odd lo.
+    wheel : int
+        1, or 6 for the n coprime to 6 only.
 
     Notes
     -----
@@ -421,13 +441,20 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> Omeg
     read by arithmetic, not through a narrower view, so there is no
     byte-order caveat.
 
-    With stride 2 word i is that of lo + 2i.  The words start from the odd
-    half of the pattern, and 16, 32, ... are left out: each prime power
-    dividing an odd n adds once, an odd q every q words.  A sub-range [a, b)
-    compares its threshold on words (a - lo + 1) // 2 to (b - lo + 1) // 2.
+    With wheel 6 the block is two lanes, its n = 1 and its n = 5 (mod 6),
+    each a progression of step 6.  Their words interleave, the i-th n of
+    the lane that starts first at word 2i and of the other at 2i + 1, so
+    the words run in ascending n; they start from pattern[1::6] and
+    pattern[5::6] interleaved, and 4, 9, 16, 27, ... are left out: each
+    prime power dividing an n coprime to 6 adds once, a q coprime to 6 on
+    every q-th n of a lane, every 2q-th word.  Its first multiple in the
+    lane from n0 is n0 + s + t * q, s = -n0 mod q, with t = -s * q mod 6,
+    since q * q = 1 (mod 6), the n of index s // 6 + t * (q // 6) +
+    (s % 6 + t * (q % 6)) // 6, which never forms s + t * q: that sum
+    wraps past 2**64 for q > 2**61.
     """
-    if stride not in (1, 2) or stride == 2 and lo % 2 == 0:
-        raise ValueError(f"stride must be 1, or 2 from an odd lo, got {stride} from {lo}")
+    if wheel not in (1, 6):
+        raise ValueError(f"wheel must be 1 or 6, got {wheel}")
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
     if hi > 1 << 64:
@@ -437,19 +464,25 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> Omeg
         raise ValueError(
             f"prime table covers {table.limit} but isqrt(hi - 1) = {root}"
         )
-    n = (hi - lo + stride - 1) // stride
+    n = _wheel_length(lo, hi, wheel)
     # Allocated before the counter words, so that freeing those leaves no
     # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
-    # The pattern tiled from lo's index in it holds the pattern's prime
-    # powers; one spare word past the block takes the sparse fold's overshoots.
-    words = np.empty(n + 1, dtype=np.uint16)
-    _tile(words, _small_prime_pattern(stride), lo // stride)
-    for q, start, inc in _prime_powers(lo, hi, table, stride):
+    if n == 0:
+        return OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)
+    # The words of the block's n in ascending order start as the pattern
+    # tiled from the index in it of the first n, the number of n >= 0 below
+    # lo coprime to wheel, which holds the pattern's prime powers.  One
+    # spare word past each lane takes the sparse fold's overshoots.
+    lanes = _lanes(lo, hi, wheel)
+    words = np.empty((lanes[0][1] + 1) * len(lanes), dtype=np.uint16)
+    _tile(words, _small_prime_pattern(wheel), _wheel_length(0, lo, wheel))
+    for q, start, inc in _prime_powers(lo, hi, table, wheel):
         # A needle of q's dtype; a Python int would cast all of q.
         dense = int(np.searchsorted(q, q.dtype.type(n // _DENSE_HITS), side="right"))
-        # A uint16 add through a view: words[first::step] += int(add) would
-        # convert the int and write the view back through __setitem__.
+        # A uint16 add through a view: words[first::step] += int(add)
+        # would convert the int and write the view back through
+        # __setitem__.
         for step, first, add in zip(q[:dense].tolist(), start[:dense].tolist(), inc[:dense]):
             view = words[first::step]
             view += add
@@ -461,11 +494,27 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, stride: int = 1) -> Omeg
     while a < hi:
         b = min(hi, max(a + 1, math.isqrt(2 * a * a)))
         threshold = max(0, math.ceil(_LOG_SCALE * math.log2(a) - shift))
-        i, j = (a - lo + stride - 1) // stride, (b - lo + stride - 1) // stride
+        i, j = _wheel_length(lo, a, wheel), _wheel_length(lo, b, wheel)
         # The hit count is below 64, so this compares the log sums.
         values[i:j] += words[i:j] < threshold << 6
         a = b
-    return OmegaSegment(lo=lo, hi=hi, values=values, stride=stride)
+    return OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)
+
+
+def _wheel_length(lo: int, hi: int, wheel: int) -> int:
+    """The number of n in [lo, hi), 0 <= lo <= hi, coprime to wheel (1 or
+    6); 0 is coprime to 1 only."""
+    return hi - lo if wheel == 1 else wheel_count(hi - 1) - wheel_count(lo - 1)
+
+
+def _lanes(lo: int, hi: int, wheel: int) -> list[tuple[int, int]]:
+    """(first n, length) of each lane of [lo, hi) whose n are coprime to
+    wheel, a progression of step wheel: the one lane of every n, or the
+    nonempty lanes of the n = 1 and the n = 5 (mod 6), the first n's first."""
+    if wheel == 1:
+        return [(lo, hi - lo)]
+    firsts = [n for n in range(lo, lo + 6) if n % 6 in (1, 5)]
+    return [(n0, (hi - n0 + 5) // 6) for n0 in firsts if n0 < hi]
 
 
 def _increments(primes: np.ndarray) -> np.ndarray:
@@ -476,72 +525,107 @@ def _increments(primes: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _small_prime_pattern(stride: int = 1) -> np.ndarray:
+def _small_prime_pattern(wheel: int = 1) -> np.ndarray:
     """pattern[i] is the sum of the increments of the prime powers q that
-    divide _PATTERN_PERIOD and i: the words of every n = i (mod the
-    period) after those powers are sieved; with stride 2, the odd half, a
-    copy of period 60060.  Read-only, shared by all blocks of the process."""
+    divide _PATTERN_PERIOD and the i-th n >= 0 coprime to wheel, 1, 2 or 6:
+    the words of every such n (mod the period) after those powers are
+    sieved.  With wheel 6 that is pattern[1::6] and pattern[5::6]
+    interleaved.  Read-only, shared by all blocks of the process."""
     pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint16)
     for p, inc in zip(_PATTERN_PRIMES, _increments(np.array(_PATTERN_PRIMES)).tolist()):
         q = p
         while _PATTERN_PERIOD % q == 0:
             pattern[::q] += inc
             q *= p
-    if stride == 2:
-        pattern = pattern[1::2].copy()
+    residues = [r for r in range(wheel) if math.gcd(r, wheel) == 1]
+    pattern = pattern.reshape(-1, wheel)[:, residues].reshape(-1)
     pattern.flags.writeable = False
     return pattern
 
 
 def _prime_powers(
-    lo: int, hi: int, table: PrimeTable, stride: int = 1
+    lo: int, hi: int, table: PrimeTable, wheel: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the prime powers q = p^e < hi with p <= isqrt(hi - 1) that have
-    a multiple among lo, lo + stride, ... below hi, less those in the
+    a multiple among the n of [lo, hi) coprime to wheel, less those in the
     small-prime pattern, in three groups: the primes, their squares and the
-    higher powers.  Each group is q ascending (uint32 for the primes,
-    uint64 for the powers), the index of its first multiple among the
-    block's values (int64) and the packed increment (uint16)."""
+    higher powers.  Each group is the step of q through omega_block's words
+    ascending, the index of the word of its first multiple (int64) and the
+    packed increment (uint16).  With wheel 1 the step is q (uint32 for the
+    primes, uint64 for the powers).  With wheel 6 each q comes once for
+    each of the two lanes it hits, whose i-th words are words 2i and
+    2i + 1, and steps 2q; a q >= rows, the words of a lane and its spare,
+    hits its lane at most once and steps 2 * rows, past every word, which
+    keeps 2q below 2**64."""
+    lanes = _lanes(lo, hi, wheel)
+    for q, inc in _power_groups(hi, table, wheel):
+        yield _lane_hits(lanes, wheel, q, inc)
+
+
+def _lane_hits(
+    lanes: list[tuple[int, int]], wheel: int, q: np.ndarray, inc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One group of _prime_powers from its q ascending and increments, in
+    a frame of its own, so that its lanes' unfiltered first hits are freed
+    before the group is sieved."""
+    k, rows = len(lanes), lanes[0][1] + 1
+    start = _first_hits(np.array([[n0 - 1] for n0, _ in lanes], dtype=np.uint64), wheel, q)
+    # Read column by column, each q's lanes side by side, so that the
+    # steps stay ascending.
+    hit = (start < np.array([[length] for _, length in lanes], dtype=np.uint64)).T.reshape(-1)
+    if k > 1:
+        start *= np.uint64(k)
+        start += np.arange(k, dtype=np.uint64)[:, None]
+        q = np.repeat(np.uint64(k) * np.minimum(q, np.uint64(rows)), k)
+        inc = np.repeat(inc, k)
+    # Indices below the block length fit int64 unchanged.
+    return q[hit], start.T.reshape(-1)[hit].view(np.int64), inc[hit]
+
+
+def _power_groups(
+    hi: int, table: PrimeTable, wheel: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The three groups of _prime_powers before their first hits: q
+    ascending and the packed increment, with the powers that divide no n
+    coprime to wheel left out."""
     root = np.uint32(math.isqrt(hi - 1))
     count = int(np.searchsorted(table.primes, root, side="right"))
     primes = table.primes[:count]
     inc = table._prime_increments[:count]
-    # The pattern's primes are the smallest primes, and 4 the smallest
-    # square, so they are a prefix of their group.
+    # The pattern's primes are the smallest primes, and so a prefix.
     skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
-    yield _first_hits(lo, hi, stride, primes[skip:], inc[skip:])
+    yield primes[skip:], inc[skip:]
     # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
-    # e >= 3 is a cached power of such a p.
+    # e >= 3 is a cached power of such a p.  The squares left out, 4 (in
+    # the pattern) and with wheel 6 also 9, are a prefix.
     squares = primes.astype(np.uint64)
     squares *= squares
-    skip = int(np.count_nonzero(_PATTERN_PERIOD % squares[:1] == 0))
-    yield _first_hits(lo, hi, stride, squares[skip:], inc[skip:])
+    skip = int(np.count_nonzero(primes[:2] <= (2 if wheel == 1 else 3)))
+    yield squares[skip:], inc[skip:]
     powers, power_inc = table._higher_powers
-    if stride == 2:  # 16, 32, ... divide no odd n
-        odd = (powers & np.uint64(1)) != 0
-        powers, power_inc = powers[odd], power_inc[odd]
     count = int(np.searchsorted(powers, np.uint64(hi - 1), side="right"))
-    yield _first_hits(lo, hi, stride, powers[:count], power_inc[:count])
+    powers, power_inc = powers[:count], power_inc[:count]
+    if wheel == 6:  # 16, 27, 32, 81, ... divide no n coprime to 6
+        keep = (powers % np.uint64(2) != 0) & (powers % np.uint64(3) != 0)
+        powers, power_inc = powers[keep], power_inc[keep]
+    yield powers, power_inc
 
 
-def _first_hits(
-    lo: int, hi: int, stride: int, q: np.ndarray, inc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, start, inc) for the q with a multiple among lo, lo + stride, ...
-    below hi (odd q for stride 2), start being the index of the first."""
-    # (q - 1) - (lo - 1) mod q is the offset of the first multiple.
-    start = np.uint64(lo - 1) % q
+def _first_hits(before: np.ndarray, step: int, q: np.ndarray) -> np.ndarray:
+    """start[k, i], the index of the first multiple of q[i] among the n of
+    lane k, n0 + step * j for n0 = before[k, 0] + 1; step is 1, or 6 for q
+    coprime to 6 (omega_block's Notes)."""
+    # (q - 1) - (n0 - 1) mod q is the offset of the first multiple.
+    start = before % q
     np.subtract(q, start, out=start)
     start -= np.uint64(1)
-    if stride == 2:
-        # The first odd multiple is lo + start, or lo + start + q for odd
-        # start, index start // 2 + q // 2 + 1: start + q wraps for q > 2**63.
-        odd = start & np.uint64(1)
-        start >>= np.uint64(1)
-        start += odd * (q // 2 + 1)
-    # Indices below the block length fit int64 unchanged.
-    hit = start < (hi - lo + stride - 1) // stride
-    return q[hit], start[hit].view(np.int64), inc[hit]
+    if step == 6:
+        six = np.uint64(6)
+        rest, q_rest = start % six, q % six
+        t = (six - rest) * q_rest % six
+        start //= six
+        start += t * (q // six) + (rest + t * q_rest) // six
+    return start
 
 
 def _fold_sparse(
@@ -595,9 +679,9 @@ def _start_worker(buffer, table: PrimeTable) -> None:
         cache.flags.writeable = False
 
 
-def _sieve_into_buffer(lo: int, hi: int, offset: int, stride: int) -> None:
+def _sieve_into_buffer(lo: int, hi: int, offset: int, wheel: int) -> None:
     """Pool task: sieve [lo, hi) into the shared buffer from offset on."""
-    values = omega_block(lo, hi, _stream_table, stride=stride).values
+    values = omega_block(lo, hi, _stream_table, wheel=wheel).values
     _worker_buffer[offset : offset + len(values)] = values
 
 
@@ -613,17 +697,17 @@ def iter_segments(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    stride: int = 1,
+    wheel: int = 1,
 ) -> Iterator[OmegaSegment]:
-    """Stream OmegaSegments covering 1..x_max, or with stride 2 its odd n,
-    in ascending order, segment_size values a block from an odd lo.
+    """Stream OmegaSegments covering 1..x_max, or with wheel 6 its n coprime
+    to 6, in ascending order, segment_size values a block.
 
     The prime table is sieved and its caches filled once, in the calling
     process.  With workers > 1 the blocks are computed in a process pool
     whose workers share them, but are always yielded in block order, so
     everything downstream produces output independent of the worker count.
     x_max must be below 2**64, the bound of omega_block, segment_size at
-    most MAX_SEGMENT_SIZE, workers at most MAX_WORKERS and stride 1 or 2.
+    most MAX_SEGMENT_SIZE, workers at most MAX_WORKERS and wheel 1 or 6.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
@@ -635,14 +719,17 @@ def iter_segments(
         )
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    if wheel not in (1, 6):
+        raise ValueError(f"wheel must be 1 or 6, got {wheel}")
     table = primes_up_to(max(2, math.isqrt(x_max)))
-    table._prime_increments, table._higher_powers  # fills the caches
-    blocks = segment_bounds(x_max, stride * segment_size)
+    # Fills the caches, which forked workers share.
+    table._prime_increments, table._higher_powers, _small_prime_pattern(wheel)
+    # Every 3 integers from 1 on hold one n coprime to 6, so a wheel block
+    # of 3 * segment_size integers holds segment_size values.
+    blocks = segment_bounds(x_max, segment_size if wheel == 1 else 3 * segment_size)
     if workers == 1:
         for lo, hi in blocks:
-            yield omega_block(lo, hi, table, stride=stride)
+            yield omega_block(lo, hi, table, wheel=wheel)
         return
     # Imported here: it loads the multiprocessing heap, which a serial
     # stream does not need.
@@ -659,14 +746,14 @@ def iter_segments(
         max_workers=workers, initializer=_start_worker, initargs=(buffer, table)
     ) as pool:
         pending = deque(
-            (job, pool.submit(_sieve_into_buffer, *job, stride))
+            (job, pool.submit(_sieve_into_buffer, *job, wheel))
             for job in itertools.islice(jobs, slots)
         )
         while pending:
             (lo, hi, offset), future = pending.popleft()
             future.result()
-            values = shared[offset : offset + (hi - lo + stride - 1) // stride].copy()
+            values = shared[offset : offset + _wheel_length(lo, hi, wheel)].copy()
             job = next(jobs, None)
             if job is not None:
-                pending.append((job, pool.submit(_sieve_into_buffer, *job, stride)))
-            yield OmegaSegment(lo=lo, hi=hi, values=values, stride=stride)
+                pending.append((job, pool.submit(_sieve_into_buffer, *job, wheel)))
+            yield OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)

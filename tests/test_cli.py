@@ -375,7 +375,7 @@ def test_output_io_error(capsys):
 
 
 def _die_in_worker(*args, **kwargs):
-    # Any signature: density's workers pass the stride by keyword.
+    # Any signature: density's workers pass the wheel by keyword.
     os._exit(1)
 
 

@@ -42,6 +42,19 @@ def test_zeta_ref_complex_argument():
     assert abs(zeta_ref(2 + 1j) - complex(mpmath.zeta(2 + 1j))) < 1e-8
 
 
+def test_zeta_ref_is_summed_once_per_argument():
+    """dirichlet-check asks for zeta(4) three times: the later calls return
+    the same complex without a new power sum, and a -0.0 imaginary part
+    gets a sum of its own."""
+    dirichlet._zeta_sum.cache_clear()
+    first = zeta_ref(4)
+    assert zeta_ref(4.0 + 0j) is first
+    info = dirichlet._zeta_sum.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert zeta_ref(complex(4.0, -0.0)) == first
+    assert dirichlet._zeta_sum.cache_info().misses == 2
+
+
 def test_zeta_ref_validates():
     with pytest.raises(ValueError):
         zeta_ref(1.0)

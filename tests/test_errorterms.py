@@ -24,9 +24,7 @@ from omegadist.sieve import (
     OmegaSegment,
     iter_segments,
     omega_block,
-    omega_histogram,
     primes_up_to,
-    segment_bounds,
 )
 
 
@@ -142,39 +140,78 @@ def test_record_many_cuts_segments_at_checkpoints(segment_size, x_max):
 
 
 def test_record_many_histograms_each_piece_once(monkeypatch):
-    """Twelve moduli share one histogram per piece of the odd stream: a
-    piece ends at each distinct cut x >> e of a checkpoint x and at each
-    odd block's end, and the pieces cover the odd n <= x_max once.  Ends
-    are counted in odd n: (y + 1) // 2 odd n are <= y."""
+    """Twelve moduli share one histogram per piece of the stream of the n
+    coprime to 6: a piece ends at each distinct cut, the number p of such
+    n <= x // d for a checkpoint x and d = 2^a * 3^b <= x, and at each
+    block's end, and the pieces cover the n <= x_max coprime to 6 once, in
+    order."""
     x_max, segment_size = 5000, 1031
-    calls = []
+    pieces, ends = [], []
+    histograms = errorterms._cumulative_histograms
 
-    def counting_histogram(values):
-        calls.append(len(values))
-        return omega_histogram(values)
+    def recording_histograms(values, piece_ends, bins):
+        ends.extend(sum(map(len, pieces)) + np.asarray(piece_ends))
+        pieces.append(values.copy())
+        return histograms(values, piece_ends, bins)
 
-    monkeypatch.setattr(errorterms, "omega_histogram", counting_histogram)
+    monkeypatch.setattr(errorterms, "_cumulative_histograms", recording_histograms)
     record_many(range(1, 13), x_max, segment_size=segment_size)
     schedule = checkpoint_schedule(x_max)
-    ends = {((x >> e) + 1) // 2 for x in schedule for e in range(x.bit_length())}
-    ends |= {hi // 2 for _, hi in segment_bounds(x_max, 2 * segment_size)}
-    assert len(calls) == len(ends)
-    assert sum(calls) == (x_max + 1) // 2
+    expected = {
+        sieve.wheel_count(x // (2**a * 3**b))
+        for x in schedule
+        for a in range(x.bit_length())
+        for b in range(x.bit_length())
+        if 2**a * 3**b <= x
+    }
+    count = sieve.wheel_count(x_max)
+    expected |= set(range(segment_size, count, segment_size)) | {count}
+    assert sorted(ends) == sorted(expected)
+    stream = np.concatenate([s.values for s in iter_segments(x_max, wheel=6)])
+    assert np.concatenate(pieces).tolist() == stream.tolist()
 
 
 def test_record_many_on_a_dense_schedule_matches_one_block():
-    """At ratio 1.001 to 10^5 most checkpoints share their cuts x >> e with
-    others; each checkpoint's counts are the class counts of the first x
-    values of one stride-1 block of 1..10^5, counted by a cumulative sum
-    per class."""
+    """At ratio 1.001 to 10^5 most checkpoints share their cuts x // d with
+    others, and blocks of 1024 values hold many cuts each; each
+    checkpoint's counts are the class counts of the first x values of one
+    stride-1 block of 1..10^5, counted by a cumulative sum per class."""
     x_max, moduli = 10**5, range(1, 14)
-    series = record_many(moduli, x_max, 1.001)
     values = omega_block(1, x_max + 1, primes_up_to(math.isqrt(x_max))).values
-    for m in moduli:
-        running = np.cumsum(values[:, None] % m == np.arange(m), axis=0)
-        assert [cp.x for cp in series[m].checkpoints] == checkpoint_schedule(x_max, 1.001)
-        for cp in series[m].checkpoints:
-            assert cp.counts.tolist() == running[cp.x - 1].tolist(), (m, cp.x)
+    for segment_size in (sieve.DEFAULT_SEGMENT_SIZE, 1024):
+        series = record_many(moduli, x_max, 1.001, segment_size=segment_size)
+        for m in moduli:
+            running = np.cumsum(values[:, None] % m == np.arange(m), axis=0)
+            assert [cp.x for cp in series[m].checkpoints] == checkpoint_schedule(x_max, 1.001)
+            for cp in series[m].checkpoints:
+                assert cp.counts.tolist() == running[cp.x - 1].tolist(), (m, cp.x)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        [2**64 - 1 - 997 * k for k in range(40, -1, -1)],
+        [10, 99, 2**40 + 1, 2**63 - 1, 2**63, 3**40, 2**64 - 2, 2**64 - 1],
+        checkpoint_schedule(2**64 - 1, 10.0**6),
+    ],
+)
+def test_lift_runs_near_2_to_64(schedule):
+    """The runs of the lift for checkpoints up to 2^64 - 1, without a
+    stream: for every d = 2^a * 3^b <= x the checkpoints that share
+    p = #{n <= x // d coprime to 6}, in plain Python, sorted by their cut."""
+    width = 64 + 28
+    cuts, plus, minus = errorterms._lift_runs(schedule, width)
+    assert (np.diff(cuts) >= 0).all()
+    expected = []
+    for a in range(64):
+        for b in range(41):
+            d = 2**a * 3**b
+            rows = [(i, sieve.wheel_count(x // d)) for i, x in enumerate(schedule) if x >= d]
+            for k, (i, p) in enumerate(rows):
+                if k == 0 or p != rows[k - 1][1]:
+                    end = next((j for j, q in rows[k:] if q != p), len(schedule))
+                    expected.append((p, i * width + a + b, end * width + a + b))
+    assert sorted(zip(cuts.tolist(), plus.tolist(), minus.tolist())) == sorted(expected)
 
 
 def test_record_many_validates():

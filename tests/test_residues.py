@@ -187,9 +187,9 @@ def test_tally_segment_refuses_other_dtypes(dtype):
 
 
 def test_tally_segment_refuses_an_odd_segment():
-    segment = omega_block(1, 101, primes_up_to(10), stride=2)
+    segment = omega_block(1, 101, primes_up_to(10), wheel=6)
     tally = new_tally(3)
-    with pytest.raises(ValueError, match="stride-2"):
+    with pytest.raises(ValueError, match="wheel-6"):
         tally_segment(tally, segment)
     assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
 

@@ -437,75 +437,124 @@ if given is not None:
     @settings(max_examples=40, deadline=None)
     @given(
         lo=st.integers(1, 13).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e)),
+        residue=st.integers(0, 5),
         length=st.integers(1, 2048),
     )
-    @example(lo=1, length=1)
-    @example(lo=PATTERN_PERIOD - 1, length=2048)
-    def test_odd_block_is_every_other_value(high_table, lo, length):
-        """A stride-2 block is the stride-1 block's odd n: the odd half of
-        the pattern, without 16, 32, ..., and odd multiples halved into
-        indices."""
-        lo |= 1
+    @example(lo=1, residue=1, length=1)
+    @example(lo=1, residue=2, length=3)  # 2, 3 and 4: no value
+    @example(lo=PATTERN_PERIOD, residue=5, length=2048)
+    def test_wheel_block_is_the_values_coprime_to_6(high_table, lo, residue, length):
+        """A wheel-6 block is the stride-1 block's values at its n coprime
+        to 6, from lo in every residue mod 6: two interleaved lanes from
+        their sixths of the pattern, without 4, 9, 16, 27, ..., first
+        multiples found per lane."""
+        lo = max(1, lo - lo % 6 + residue)
         whole = omega_block(lo, lo + length, high_table).values
-        odd = omega_block(lo, lo + length, high_table, stride=2)
-        assert (odd.lo, odd.hi, odd.stride) == (lo, lo + length, 2)
-        assert odd.values.tolist() == whole[::2].tolist()
+        wheel = omega_block(lo, lo + length, high_table, wheel=6)
+        assert (wheel.lo, wheel.hi, wheel.wheel) == (lo, lo + length, 6)
+        assert wheel.values.tolist() == whole[_coprime_to_6(lo, lo + length)].tolist()
 
 else:
 
     @pytest.mark.skip(reason="hypothesis is not installed")
-    def test_odd_block_is_every_other_value():
+    def test_wheel_block_is_the_values_coprime_to_6():
         pass
+
+
+def _coprime_to_6(lo, hi):
+    """The mask of the n in [lo, hi) coprime to 6."""
+    return np.isin(np.arange(lo % 6, lo % 6 + hi - lo) % 6, (1, 5))
+
+
+def _truncated_table():
+    """A table that claims every prime below 2^32 but holds those up to 541
+    only: it covers any block below 2^64 with few powers to sieve."""
+    return PrimeTable(limit=2**32 - 1, primes=primes_up_to(541).primes)
 
 
 @pytest.mark.parametrize(
     "lo, length",
     [
-        (3**40, 1),  # 40 hits
+        (3**40, 1),  # no n coprime to 6
         (541**7, 1),
-        (3**40 - 4000, 4001),  # ends on 3^40, an odd multiple at an even offset
-        # Past q = 3^40 the offset start = 2q - lo is odd, and start + q =
-        # 2**64 + 200 would wrap to the index 100 of this block.
+        (3**40 - 4000, 4001),
         (3 * 3**40 - 2**64 - 200, 4000),
         (541**7 + 2, 4000),
     ],
 )
 def test_odd_block_near_2_to_64(lo, length):
-    """Odd blocks near the top of the word with a table that reaches 2^32 - 1
-    but holds the primes up to 541 only.  Past an odd power q > 2**63 the
-    next odd multiple 3q lies above 2**64, and an index computed through
-    start + q would wrap into the block at lo = 3q - 2**64 - 2k."""
-    table = PrimeTable(limit=2**32 - 1, primes=primes_up_to(541).primes)
+    """Wheel-6 blocks, whose n are odd, near the top of the word with a
+    truncated table: past a power q > 2**63 the next multiple lies above
+    2**64, and no index may wrap into the block."""
+    table = _truncated_table()
     whole = omega_block(lo, lo + length, table).values
-    odd = omega_block(lo, lo + length, table, stride=2).values
-    assert odd.tolist() == whole[::2].tolist()
+    wheel = omega_block(lo, lo + length, table, wheel=6).values
+    assert wheel.tolist() == whole[_coprime_to_6(lo, lo + length)].tolist()
     if length == 1:
-        assert odd.tolist() == [omega_single(lo)]
+        assert wheel.tolist() == ([omega_single(lo)] if math.gcd(lo, 6) == 1 else [])
 
 
-def test_omega_block_validates_the_stride():
+@pytest.mark.parametrize(
+    "q, lo",
+    [
+        (7**22, 1102361169205388615),
+        (7**22, 8922003266371364713),
+        (11**18, 9352842493751605775),
+    ],
+)
+def test_wheel_first_hit_does_not_wrap(q, lo):
+    """Lanes from lo where the first multiple lo + s + t * q of the lane
+    lies past 2**64: s + t * q wraps, in uint64, to an index below 3 of
+    this block, where the sieve must add no hit."""
+    s = -lo % q
+    t = -s * q % 6
+    assert s + t * q >= 6 * 4000 and (s + t * q) % 2**64 < 18
+    table = _truncated_table()
+    whole = omega_block(lo, lo + 4000, table).values
+    wheel = omega_block(lo, lo + 4000, table, wheel=6).values
+    assert wheel.tolist() == whole[_coprime_to_6(lo, lo + 4000)].tolist()
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, 20, 39, 40])
+def test_wheel_block_skips_the_powers_of_3(e):
+    """Blocks around 3^e with a table of 2 and 3 only, so that the powers
+    sieved beside the pattern's are those of 2 and 3: 9, 27, ..., 3^e
+    divide no n coprime to 6 and add nothing to the wheel block, which
+    around 3^e holds 3^e - 2, 3^e + 2 and 3^e + 4."""
+    table = PrimeTable(limit=2**32 - 1, primes=np.array([2, 3], dtype=np.uint32))
+    lo, hi = 3**e - 3, 3**e + 5
+    whole = omega_block(lo, hi, table).values
+    wheel = omega_block(lo, hi, table, wheel=6).values
+    assert len(wheel) == 3
+    assert wheel.tolist() == whole[_coprime_to_6(lo, hi)].tolist()
+
+
+def test_omega_block_validates_the_wheel():
     table = primes_up_to(10)
-    for lo, stride in ((1, 0), (1, 3), (1, -1), (2, 2)):
-        with pytest.raises(ValueError, match="stride must be 1, or 2 from an odd lo"):
-            omega_block(lo, 10, table, stride=stride)
+    for wheel in (0, 2, 3, -1, 30):
+        with pytest.raises(ValueError, match="wheel must be 1 or 6"):
+            omega_block(1, 10, table, wheel=wheel)
 
 
-@pytest.mark.parametrize("segment_size", [1, 2, 3, 1031])
-def test_odd_stream_covers_the_odd_n(segment_size):
-    """Every x_max to 60: the blocks start at odd lo, each hi is the next
-    lo, the last hi is x_max + 1, and the values are Omega of the odd n <=
-    x_max, segment_size of them a block."""
-    expected = [omega_single(n) for n in range(1, 61)]
+@pytest.mark.parametrize("segment_size", [1, 2, 3, 1025, 1031])
+def test_wheel_stream_covers_the_n_coprime_to_6(segment_size):
+    """Every x_max to 60: the blocks start at lo = 1 (mod 3), each hi is
+    the next lo, the last hi is x_max + 1, and the values are Omega of the
+    n <= x_max coprime to 6, segment_size of them a block but the last,
+    which holds at most that many: a buffer slot's worth."""
+    expected = [omega_single(n) for n in range(1, 61) if math.gcd(n, 6) == 1]
     for x_max in range(1, 61):
-        segments = list(iter_segments(x_max, segment_size=segment_size, stride=2))
+        segments = list(iter_segments(x_max, segment_size=segment_size, wheel=6))
         assert segments[0].lo == 1 and segments[-1].hi == x_max + 1
         for a, b in zip(segments, segments[1:]):
             assert a.hi == b.lo
         for segment in segments:
-            assert segment.lo % 2 == 1 and segment.stride == 2
-            assert len(segment.values) == len(range(segment.lo, segment.hi, 2)) <= segment_size
+            assert segment.lo % 3 == 1 and segment.wheel == 6
+            length = sum(math.gcd(n, 6) == 1 for n in range(segment.lo, segment.hi))
+            assert len(segment.values) == length <= segment_size
+        assert all(len(segment.values) == segment_size for segment in segments[:-1])
         values = np.concatenate([segment.values for segment in segments])
-        assert values.tolist() == expected[: x_max : 2], x_max
+        assert values.tolist() == expected[: sieve.wheel_count(x_max)], x_max
 
 
 def test_segment_bounds_cover_exactly():
@@ -649,16 +698,17 @@ def test_pooled_stream_under_spawn(start_method):
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_pooled_odd_stream_matches_the_serial_one(start_method):
-    # Each slot of the shared buffer is segment_size wide; an odd block
-    # fills it with the values of twice as many integers.
+    # Each slot of the shared buffer is segment_size wide; a wheel-6 block,
+    # whose n are odd, fills it with the values of three times as many
+    # integers.
     method = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(start_method, force=True)
     try:
-        pooled = list(iter_segments(20_001, segment_size=1031, workers=2, stride=2))
+        pooled = list(iter_segments(20_001, segment_size=1031, workers=2, wheel=6))
     finally:
         multiprocessing.set_start_method(method, force=True)
-    serial = list(iter_segments(20_001, segment_size=1031, stride=2))
-    assert [(s.lo, s.hi, s.stride) for s in pooled] == [(s.lo, s.hi, 2) for s in serial]
+    serial = list(iter_segments(20_001, segment_size=1031, wheel=6))
+    assert [(s.lo, s.hi, s.wheel) for s in pooled] == [(s.lo, s.hi, 6) for s in serial]
     assert np.concatenate([s.values for s in pooled]).tobytes() == np.concatenate(
         [s.values for s in serial]
     ).tobytes()
@@ -761,9 +811,9 @@ def test_iter_segments_validates_arguments(monkeypatch):
         next(iter_segments(10, workers=sieve.MAX_WORKERS + 1))
     with pytest.raises(ValueError, match="segment_size"):
         next(iter_segments(10, segment_size=sieve.MAX_SEGMENT_SIZE + 1))
-    for stride in (0, 3, -1):
-        with pytest.raises(ValueError, match="stride must be 1 or 2"):
-            next(iter_segments(10, stride=stride))
+    for wheel in (0, 2, 3, -1):
+        with pytest.raises(ValueError, match="wheel must be 1 or 6"):
+            next(iter_segments(10, wheel=wheel))
 
     # No block reaches past 2**64, so the stream is refused before it asks
     # for a prime table to 2**32 (4 GiB).
