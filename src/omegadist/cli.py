@@ -36,6 +36,7 @@ from .dirichlet import (
 )
 from .errorterms import (
     DEFAULT_RATIO,
+    CheckpointSeries,
     InsufficientDataError,
     character_growth_exponent,
     checkpoint_schedule,
@@ -164,18 +165,19 @@ def cmd_density(args) -> int:
     moduli, series = _record(args)
     rows = []
     for m in moduli:
-        for cp in series[m].checkpoints:
-            scaled = scaled_residuals(cp)
-            bound = predicted_bound(m, cp.x) if m >= 2 else None
+        s = series[m]
+        points = zip(s.checkpoints.tolist(), s.counts.tolist(), scaled_residuals(s).tolist())
+        for x, count, residual in points:
+            bound = predicted_bound(m, x) if m >= 2 else None
             for j in range(m):
                 rows.append(
                     {
                         "m": m,
-                        "x": cp.x,
+                        "x": x,
                         "j": j,
-                        "count": int(cp.counts[j]),
-                        "ratio": int(cp.counts[j]) / cp.x,
-                        "scaled_residual": int(scaled[j]),
+                        "count": count[j],
+                        "ratio": count[j] / x,
+                        "scaled_residual": residual[j],
                         "predicted_bound": bound,
                     }
                 )
@@ -230,16 +232,16 @@ def cmd_error_growth(args) -> int:
     moduli, series = _record(args)
     rows = []
     for m in moduli:
-        for cp in series[m].checkpoints:
-            scaled = scaled_residuals(cp)
+        s = series[m]
+        for x, residual in zip(s.checkpoints.tolist(), scaled_residuals(s).tolist()):
             for j in range(m):
                 rows.append(
                     {
                         "kind": "checkpoint",
                         "m": m,
-                        "x": cp.x,
+                        "x": x,
                         "j": j,
-                        "scaled_residual": int(scaled[j]),
+                        "scaled_residual": residual[j],
                     }
                 )
         fits = [("class-fit", growth_exponent(series[m], j)) for j in range(m)]
@@ -459,7 +461,8 @@ def run_selftest(x_limit: int = 100_000, inject_fault: bool = False) -> list[dic
     def remark_identity():
         for m in (2, 3, 5, 12):
             tally = tally_segment(new_tally(m), segment)
-            if int(scaled_residuals(tally).sum()) != 0:
+            block = CheckpointSeries(m, np.array([tally.x]), tally.counts[None])
+            if int(scaled_residuals(block).sum()) != 0:
                 return False, f"scaled residuals do not sum to zero at m = {m}"
         return True, "scaled residuals sum to zero for m in {2, 3, 5, 12}"
 

@@ -14,12 +14,12 @@ log|R| against log x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .residues import ResidueTally, fold_classes, root_table
+from .residues import fold_classes, root_table
 from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_histogram, wheel_count
 
 #: Four checkpoints per decade.
@@ -63,26 +63,27 @@ class GrowthFit:
     residual_rms: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckpointSeries:
-    """One modulus's tally of 1..x at each checkpoint x, ascending in x."""
+    """One modulus's class counts of 1..x at each checkpoint x: checkpoints
+    is the int64 array of the x, ascending, and counts[i, j] the number of
+    n <= checkpoints[i] with Omega(n) = j (mod m), an int64[len, m] array."""
 
     m: int
-    checkpoints: list[ResidueTally] = field(default_factory=list)
+    checkpoints: np.ndarray
+    counts: np.ndarray
 
 
-def scaled_residuals(tally: ResidueTally) -> np.ndarray:
-    """m*N_j(x) - x for every class j of a 1-anchored tally; exact integers,
-    summing to zero (every n <= x lands in exactly one class)."""
-    if tally.lo != 1:
-        raise ValueError("checkpoints are defined for tallies anchored at 1")
-    if tally.x < 1:
-        raise ValueError(f"tally is empty (x = {tally.x})")
-    if tally.x > (1 << 62) // tally.m:
-        raise OverflowError(
-            f"x = {tally.x} too large to form exact m*N - x at m = {tally.m}"
-        )
-    return tally.m * tally.counts - tally.x
+def scaled_residuals(series: CheckpointSeries) -> np.ndarray:
+    """m*N_j(x) - x at every checkpoint x (rows) and class j (columns), as
+    exact int64; each row sums to zero (every n <= x lands in exactly one
+    class)."""
+    xs, m = series.checkpoints, series.m
+    if xs.min(initial=1) < 1:
+        raise ValueError(f"checkpoints must be >= 1, got x = {xs.min()}")
+    if xs.max(initial=0) > (1 << 62) // m:
+        raise OverflowError(f"x = {xs.max()} too large to form exact m*N - x at m = {m}")
+    return m * series.counts - xs[:, None]
 
 
 def checkpoint_schedule(x_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
@@ -172,12 +173,8 @@ def record_many(
         segment = next(segments, None)
     del cuts, plus, minus  # freed before the checkpoints are built
     np.cumsum(rows, axis=0, out=rows)
-    records = rows[:-1, :64]
-    series = {}
-    for m in moduli:
-        counts = fold_classes(records, m)
-        series[m] = CheckpointSeries(m, [ResidueTally(m, x, c) for x, c in zip(schedule, counts)])
-    return series
+    records, xs = rows[:-1, :64], np.array(schedule, dtype=np.int64)
+    return {m: CheckpointSeries(m, xs, fold_classes(records, m)) for m in moduli}
 
 
 def _lift_runs(schedule: list[int], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,45 +246,36 @@ def _cumulative_histograms(values: np.ndarray, ends, bins: int) -> np.ndarray:
     return np.cumsum(hists, axis=0, out=hists)
 
 
-def _fit_loglog(
-    series: CheckpointSeries, magnitudes: list[float], index: int
-) -> GrowthFit:
+def _fit_loglog(series: CheckpointSeries, magnitudes: np.ndarray, index: int) -> GrowthFit:
     """Fit log magnitude against log x over the checkpoints where the
     magnitude (one per checkpoint) is nonzero."""
-    points = [(cp.x, y) for cp, y in zip(series.checkpoints, magnitudes) if y != 0]
-    if len(points) < MIN_FIT_POINTS:
+    nonzero = np.flatnonzero(magnitudes)
+    if len(nonzero) < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"need at least {MIN_FIT_POINTS} nonzero checkpoints, have {len(points)}"
+            f"need at least {MIN_FIT_POINTS} nonzero checkpoints, have {len(nonzero)}"
         )
-    xs, ys = zip(*points)
-    log_x = np.log(np.asarray(xs, dtype=np.float64))
-    log_y = np.log(np.asarray(ys, dtype=np.float64))
+    log_x = np.log(series.checkpoints[nonzero].astype(np.float64))
+    log_y = np.log(magnitudes[nonzero])
     slope, intercept = np.polyfit(log_x, log_y, 1)
     residual = log_y - (slope * log_x + intercept)
-    return GrowthFit(
-        index=index,
-        alpha_hat=float(slope),
-        points_used=len(points),
-        residual_rms=float(np.sqrt(np.mean(residual**2))),
-    )
+    return GrowthFit(index, float(slope), len(nonzero), float(np.sqrt(np.mean(residual**2))))
 
 
 def growth_exponent(series: CheckpointSeries, j: int) -> GrowthFit:
-    """Fit log|R_j(x)| against log x over checkpoints where R_j != 0.
-
-    R_j(x) = N_j(x) - x/m is recovered exactly as scaled_residuals / m.
-    """
+    """Fit log|R_j(x)| against log x over the checkpoints where R_j != 0,
+    with R_j(x) = N_j(x) - x/m recovered exactly as scaled_residuals / m."""
     if not 0 <= j < series.m:
         raise ValueError(f"need 0 <= j < m, got j={j}, m={series.m}")
-    magnitudes = [abs(int(scaled_residuals(cp)[j])) / series.m for cp in series.checkpoints]
+    magnitudes = np.abs(scaled_residuals(series)[:, j]) / series.m
     return _fit_loglog(series, magnitudes, j)
 
 
 def character_growth_exponent(series: CheckpointSeries, k: int) -> GrowthFit:
-    """Same fit for |S_k(x)|, rebuilt from the checkpointed counts."""
+    """Same fit for |S_k(x)|, rebuilt from the checkpointed counts and taken
+    by np.hypot, as abs(complex) takes it; np.abs can differ in the last bit."""
     m = series.m
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     weights = root_table(m)[(np.arange(m) * k) % m]
-    magnitudes = [abs(complex(np.sum(weights * cp.counts))) for cp in series.checkpoints]
-    return _fit_loglog(series, magnitudes, k)
+    sums = np.sum(weights * series.counts, axis=1)
+    return _fit_loglog(series, np.hypot(sums.real, sums.imag), k)

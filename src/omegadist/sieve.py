@@ -78,6 +78,10 @@ _PAIR_SLICE = 1 << 16
 # cofactor test needs no more than 15 (omega_block's Notes).
 _LOG_SCALE = 15
 
+# _increments takes the logs of this many primes at a time, so its float64
+# scratch stays at a few MB however large the table.
+_INCREMENT_CHUNK = 1 << 20
+
 # A prime power with at least this many hits per block is marked with a
 # strided slice; rarer ones go through the vectorized pass, whose per-hit
 # cost beats the per-slice overhead below this count.
@@ -519,9 +523,12 @@ def _lanes(lo: int, hi: int, wheel: int) -> list[tuple[int, int]]:
 
 def _increments(primes: np.ndarray) -> np.ndarray:
     """The packed increment 1 + (w_p << 6), w_p = round(15 * log2 p), of
-    each prime, as uint16."""
-    weights = np.rint(_LOG_SCALE * np.log2(primes)).astype(np.uint16)
-    return (weights << 6) + np.uint16(1)
+    each prime, as uint16, with the logs taken _INCREMENT_CHUNK at a time."""
+    increments = np.empty(len(primes), dtype=np.uint16)
+    for start in range(0, len(primes), _INCREMENT_CHUNK):
+        logs = np.log2(primes[start : start + _INCREMENT_CHUNK])
+        increments[start : start + len(logs)] = np.rint(_LOG_SCALE * logs) * 64 + 1
+    return increments
 
 
 @functools.cache

@@ -669,6 +669,18 @@ def test_pickled_table_caches_stay_read_only(monkeypatch):
     assert all(map(np.array_equal, copy._higher_powers, table._higher_powers))
 
 
+def test_increments_in_chunks_match_one_pass(monkeypatch):
+    # The logs are taken a chunk at a time; with chunks of 1000 the 9,592
+    # primes to 10^5 cross nine boundaries and end in a short chunk, and
+    # every packed increment is that of the one-pass expression.
+    primes = primes_up_to(100_000).primes
+    weights = np.rint(sieve._LOG_SCALE * np.log2(primes)).astype(np.uint16)
+    monkeypatch.setattr(sieve, "_INCREMENT_CHUNK", 1000)
+    increments = sieve._increments(primes)
+    assert increments.dtype == np.uint16
+    assert np.array_equal(increments, (weights << 6) + np.uint16(1))
+
+
 def test_pooled_segments_do_not_alias():
     """Pooled blocks come back through one shared buffer; each yielded
     array must be its own copy, equal to the serial block."""
