@@ -94,14 +94,6 @@ def _jsonify(value):
     return value
 
 
-def _write_output(args, text: str) -> None:
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def _emit(args, columns: list[str], rows: list[dict], json_rows: list | None = None) -> None:
     """Render rows as CSV, or as one JSON document whose config echoes the
     parsed flags other than --format and --output."""
@@ -128,7 +120,11 @@ def _emit(args, columns: list[str], rows: list[dict], json_rows: list | None = N
         for row in rows:
             writer.writerow([_csv_cell(row.get(column)) for column in columns])
         text = buffer.getvalue()
-    _write_output(args, text)
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
 
 
 def _moduli(args) -> list[int]:

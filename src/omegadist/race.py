@@ -156,15 +156,11 @@ def _scan(
     if m > MAX_MODULUS:
         raise ValueError(f"race modulus must be at most {MAX_MODULUS}, got {m}")
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
-    offsets = np.empty(0, dtype=np.intp)
+    offsets = np.arange(COUNT_SLICE, dtype=np.intp) // SUB_BLOCK * 64
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
         if segment.wheel != 1:
             raise ValueError(f"a race needs every n, got a wheel-{segment.wheel} segment")
         values = segment.values
-        size = min(len(values), COUNT_SLICE)
-        if len(offsets) < size:
-            # offsets[i] = 64 * (i // SUB_BLOCK), shared by equal segments.
-            offsets = np.arange(size, dtype=np.intp) // SUB_BLOCK * 64
         counts = _sub_block_counts(values, m, offsets)
         # Every n falls in exactly one class.
         lengths = counts.sum(axis=1)

@@ -565,8 +565,27 @@ def _prime_powers(
     hits its lane at most once and steps 2 * rows, past every word, which
     keeps 2q below 2**64."""
     lanes = _lanes(lo, hi, wheel)
-    for q, inc in _power_groups(hi, table, wheel):
-        yield _lane_hits(lanes, wheel, q, inc)
+    root = np.uint32(math.isqrt(hi - 1))
+    count = int(np.searchsorted(table.primes, root, side="right"))
+    primes = table.primes[:count]
+    inc = table._prime_increments[:count]
+    # The pattern's primes are the smallest primes, and so a prefix.
+    skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
+    yield _lane_hits(lanes, wheel, primes[skip:], inc[skip:])
+    # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
+    # e >= 3 is a cached power of such a p.  The squares left out, 4 (in
+    # the pattern) and with wheel 6 also 9, are a prefix.
+    squares = primes.astype(np.uint64)
+    squares *= squares
+    skip = int(np.count_nonzero(primes[:2] <= (2 if wheel == 1 else 3)))
+    yield _lane_hits(lanes, wheel, squares[skip:], inc[skip:])
+    powers, power_inc = table._higher_powers
+    count = int(np.searchsorted(powers, np.uint64(hi - 1), side="right"))
+    powers, power_inc = powers[:count], power_inc[:count]
+    if wheel == 6:  # 16, 27, 32, 81, ... divide no n coprime to 6
+        keep = (powers % np.uint64(2) != 0) & (powers % np.uint64(3) != 0)
+        powers, power_inc = powers[keep], power_inc[keep]
+    yield _lane_hits(lanes, wheel, powers, power_inc)
 
 
 def _lane_hits(
@@ -587,35 +606,6 @@ def _lane_hits(
         inc = np.repeat(inc, k)
     # Indices below the block length fit int64 unchanged.
     return q[hit], start.T.reshape(-1)[hit].view(np.int64), inc[hit]
-
-
-def _power_groups(
-    hi: int, table: PrimeTable, wheel: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The three groups of _prime_powers before their first hits: q
-    ascending and the packed increment, with the powers that divide no n
-    coprime to wheel left out."""
-    root = np.uint32(math.isqrt(hi - 1))
-    count = int(np.searchsorted(table.primes, root, side="right"))
-    primes = table.primes[:count]
-    inc = table._prime_increments[:count]
-    # The pattern's primes are the smallest primes, and so a prefix.
-    skip = int(np.count_nonzero(_PATTERN_PERIOD % primes[: len(_PATTERN_PRIMES)] == 0))
-    yield primes[skip:], inc[skip:]
-    # p <= isqrt(hi - 1) gives p^2 < hi <= 2**64, and every p^e < hi with
-    # e >= 3 is a cached power of such a p.  The squares left out, 4 (in
-    # the pattern) and with wheel 6 also 9, are a prefix.
-    squares = primes.astype(np.uint64)
-    squares *= squares
-    skip = int(np.count_nonzero(primes[:2] <= (2 if wheel == 1 else 3)))
-    yield squares[skip:], inc[skip:]
-    powers, power_inc = table._higher_powers
-    count = int(np.searchsorted(powers, np.uint64(hi - 1), side="right"))
-    powers, power_inc = powers[:count], power_inc[:count]
-    if wheel == 6:  # 16, 27, 32, 81, ... divide no n coprime to 6
-        keep = (powers % np.uint64(2) != 0) & (powers % np.uint64(3) != 0)
-        powers, power_inc = powers[keep], power_inc[keep]
-    yield powers, power_inc
 
 
 def _first_hits(before: np.ndarray, step: int, q: np.ndarray) -> np.ndarray:
