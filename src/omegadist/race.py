@@ -158,8 +158,6 @@ def _scan(
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
     offsets = np.arange(COUNT_SLICE, dtype=np.intp) // SUB_BLOCK * 64
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        if segment.wheel != 1:
-            raise ValueError(f"a race needs every n, got a wheel-{segment.wheel} segment")
         values = segment.values
         counts = _sub_block_counts(values, m, offsets)
         # Every n falls in exactly one class.

@@ -90,13 +90,17 @@ def new_tally(m: int, lo: int = 1) -> ResidueTally:
 def tally_segment(tally: ResidueTally, segment: OmegaSegment) -> ResidueTally:
     """Fold one sieve segment into the tally, in place.
 
-    Segments must hold every n (wheel 1) and arrive contiguously:
-    segment.lo == tally.x + 1.  The segment's cached histogram is folded
-    by fold_classes, never by per-n division, so tallying one segment for
-    k moduli costs one pass over its values and k folds of 64 bins.
+    Segments must hold every n, len(values) == hi - lo, and arrive
+    contiguously: segment.lo == tally.x + 1.  The segment's cached
+    histogram is folded by fold_classes, never by per-n division, so
+    tallying one segment for k moduli costs one pass over its values and
+    k folds of 64 bins.
     """
-    if segment.wheel != 1:
-        raise ValueError(f"a tally needs every n, got a wheel-{segment.wheel} segment")
+    if len(segment.values) != segment.hi - segment.lo:
+        raise ValueError(
+            f"a tally needs every n, got {len(segment.values)} values "
+            f"for [{segment.lo}, {segment.hi})"
+        )
     if segment.lo != tally.x + 1:
         raise ValueError(
             f"segment starts at {segment.lo} but tally ends at {tally.x}"

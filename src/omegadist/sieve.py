@@ -170,11 +170,11 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class OmegaSegment:
-    """Omega values for one block: values[i] = Omega of the i-th n of
-    [lo, hi), half-open, that is coprime to wheel.
+    """Omega values for one block [lo, hi), half-open, in ascending n.
 
-    Wheel 1 holds every n, values[i] = Omega(lo + i); wheel 6 the n coprime
-    to 6 only, in ascending order.  uint8 storage is safe because
+    A segment holds every n, values[i] = Omega(lo + i), exactly when
+    len(values) == hi - lo; a wheel-6 block of omega_block or iter_segments
+    holds the n coprime to 6 only.  uint8 storage is safe because
     Omega(n) <= log2(n) < 64 for any n below 2**64.
 
     `histogram` counts the values once, when it is first read, and every
@@ -186,7 +186,6 @@ class OmegaSegment:
     lo: int
     hi: int
     values: np.ndarray
-    wheel: int = 1
 
     @functools.cached_property
     def histogram(self) -> np.ndarray:
@@ -344,23 +343,20 @@ def omega_single(n: int) -> int:
     return count
 
 
-def _trial_divisors(limit: int) -> np.ndarray:
-    """2, 3 and each 6k +- 1 up to limit, omega_single's divisors, as int64."""
-    k = np.arange(5, limit + 1, 6, dtype=np.int64)
-    divisors = np.concatenate([[2, 3], np.column_stack((k, k + 2)).ravel()])
-    return divisors[divisors <= limit]
-
-
 def _omega_trial_block(lo: int, hi: int) -> np.ndarray:
     """Omega(n) for every n in [lo, hi), 1 <= lo < hi, by trial division:
     each divisor d <= isqrt(hi - 1) strides through the multiples of d, d^2,
     ... in the block and divides d out of each rest it still divides, so a
     composite d, whose prime factors went first, never divides.  Independent
-    of the sieve, like omega_single; the selftest's oracle for 1..x_limit.
+    of the sieve, like omega_single; the selftest's oracle.
     The rests are int32 where every n fits, which halves their memory."""
     rest = np.arange(lo, hi, dtype=np.int32 if hi <= 1 << 31 else np.int64)
     count = np.zeros(hi - lo, dtype=np.uint8)
-    for d in _trial_divisors(math.isqrt(hi - 1)).tolist():
+    # 2, 3 and each 6k +- 1 up to the root: omega_single's divisors.
+    limit = math.isqrt(hi - 1)
+    k = np.arange(5, limit + 1, 6, dtype=np.int64)
+    divisors = np.concatenate([[2, 3], np.column_stack((k, k + 2)).ravel()])
+    for d in divisors[divisors <= limit].tolist():
         q = d
         while (first := (-lo) % q) < hi - lo:
             view = rest[first::q]
@@ -368,27 +364,6 @@ def _omega_trial_block(lo: int, hi: int) -> np.ndarray:
             np.floor_divide(view, d, out=view, where=divides)
             count[first::q] += divides
             q *= d
-    return count + (rest > 1)
-
-
-def _omega_trial_division(ns: np.ndarray) -> np.ndarray:
-    """Omega(n) for every positive n of an array, by trial division with the
-    divisors of omega_single up to isqrt(max n): one table ns % d == 0, a few
-    MB of rows at a time, finds each n's divisors, which then divide it in
-    ascending order as often as they still do.  Independent of the sieve,
-    like omega_single; the selftest's oracle for scattered n."""
-    rest = np.array(ns, dtype=np.int64)
-    count = np.zeros(len(rest), dtype=np.int64)
-    divisors = _trial_divisors(math.isqrt(int(rest.max(initial=1))))
-    rows = max(1, (1 << 19) // max(1, len(divisors)))
-    for a in range(0, len(rest), rows):
-        table = rest[a : a + rows, None] % divisors == 0
-        used = table.any(axis=0)
-        for d, column in zip(divisors[used].tolist(), table[:, used].T):
-            hit = np.flatnonzero(column) + a
-            while len(hit := hit[rest[hit] % d == 0]):
-                rest[hit] //= d
-                count[hit] += 1
     return count + (rest > 1)
 
 
@@ -473,7 +448,7 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, wheel: int = 1) -> Omega
     # hole below the result and the process keeps less memory resident.
     values = np.empty(n, dtype=np.uint8)
     if n == 0:
-        return OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)
+        return OmegaSegment(lo=lo, hi=hi, values=values)
     # The words of the block's n in ascending order start as the pattern
     # tiled from the index in it of the first n, the number of n >= 0 below
     # lo coprime to wheel, which holds the pattern's prime powers.  One
@@ -502,7 +477,7 @@ def omega_block(lo: int, hi: int, table: PrimeTable, *, wheel: int = 1) -> Omega
         # The hit count is below 64, so this compares the log sums.
         values[i:j] += words[i:j] < threshold << 6
         a = b
-    return OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)
+    return OmegaSegment(lo=lo, hi=hi, values=values)
 
 
 def _wheel_length(lo: int, hi: int, wheel: int) -> int:
@@ -753,4 +728,4 @@ def iter_segments(
             job = next(jobs, None)
             if job is not None:
                 pending.append((job, pool.submit(_sieve_into_buffer, *job, wheel)))
-            yield OmegaSegment(lo=lo, hi=hi, values=values, wheel=wheel)
+            yield OmegaSegment(lo=lo, hi=hi, values=values)

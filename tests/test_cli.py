@@ -523,6 +523,22 @@ def test_run_selftest_structure():
     assert all(c["passed"] for c in checks)
 
 
+def test_large_oracle_catches_a_corrupted_block(monkeypatch):
+    # Every value of the block near 10^9 flipped: that check alone fails,
+    # at the first n of its window.
+    def flipped(lo, hi, table):
+        block = sieve.omega_block(lo, hi, table)
+        block.values[:] ^= 1
+        return block
+
+    monkeypatch.setattr(cli, "omega_block", flipped)
+    failed = [c for c in run_selftest(x_limit=1000) if not c["passed"]]
+    assert [c["name"] for c in failed] == ["sieve-oracle-large"]
+    detail = failed[0]["detail"]
+    assert detail.startswith("mismatch at n = 1000")
+    assert 10**9 <= int(detail.removeprefix("mismatch at n = ")) < 10**9 + 10_000
+
+
 def test_selftest_json_report(capsys):
     code, out, _ = run_cli(
         capsys, "selftest", "--x-limit", "1000", "--format", "json"

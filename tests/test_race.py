@@ -459,12 +459,3 @@ def test_liouville_race_skips_most_of_the_per_n_scan(monkeypatch):
     fed = _fed_lengths(monkeypatch)
     all_pairs(2, 10**6)
     assert sum(fed) < 0.7 * 10**6
-
-
-def test_race_refuses_an_odd_stream(monkeypatch):
-    # The race reads every n; a stream of the n coprime to 6 only, all of
-    # them odd, is refused.
-    odd = iter_segments(1000, segment_size=256, wheel=6)
-    monkeypatch.setattr(race, "iter_segments", lambda x_max, **_: odd)
-    with pytest.raises(ValueError, match="wheel-6"):
-        all_pairs(3, 1000)

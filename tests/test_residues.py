@@ -189,7 +189,17 @@ def test_tally_segment_refuses_other_dtypes(dtype):
 def test_tally_segment_refuses_an_odd_segment():
     segment = omega_block(1, 101, primes_up_to(10), wheel=6)
     tally = new_tally(3)
-    with pytest.raises(ValueError, match="wheel-6"):
+    with pytest.raises(ValueError, match=r"needs every n, got 33 values for \[1, 101\)"):
+        tally_segment(tally, segment)
+    assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
+
+
+def test_tally_segment_refuses_a_segment_short_of_values():
+    # Five values for the ten n of [1, 11): the tally would end at x = 10
+    # with counts that sum to 5.
+    segment = OmegaSegment(lo=1, hi=11, values=np.ones(5, dtype=np.uint8))
+    tally = new_tally(3)
+    with pytest.raises(ValueError, match=r"needs every n, got 5 values for \[1, 11\)"):
         tally_segment(tally, segment)
     assert tally.x == 0 and tally.counts.tolist() == [0, 0, 0]
 

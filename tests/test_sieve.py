@@ -24,7 +24,6 @@ from omegadist.sieve import (
     PrimeTable,
     _prime_powers,
     _omega_trial_block,
-    _omega_trial_division,
     iter_segments,
     omega_block,
     omega_single,
@@ -451,7 +450,7 @@ if given is not None:
         lo = max(1, lo - lo % 6 + residue)
         whole = omega_block(lo, lo + length, high_table).values
         wheel = omega_block(lo, lo + length, high_table, wheel=6)
-        assert (wheel.lo, wheel.hi, wheel.wheel) == (lo, lo + length, 6)
+        assert (wheel.lo, wheel.hi) == (lo, lo + length)
         assert wheel.values.tolist() == whole[_coprime_to_6(lo, lo + length)].tolist()
 
 else:
@@ -549,7 +548,7 @@ def test_wheel_stream_covers_the_n_coprime_to_6(segment_size):
         for a, b in zip(segments, segments[1:]):
             assert a.hi == b.lo
         for segment in segments:
-            assert segment.lo % 3 == 1 and segment.wheel == 6
+            assert segment.lo % 3 == 1
             length = sum(math.gcd(n, 6) == 1 for n in range(segment.lo, segment.hi))
             assert len(segment.values) == length <= segment_size
         assert all(len(segment.values) == segment_size for segment in segments[:-1])
@@ -720,7 +719,7 @@ def test_pooled_odd_stream_matches_the_serial_one(start_method):
     finally:
         multiprocessing.set_start_method(method, force=True)
     serial = list(iter_segments(20_001, segment_size=1031, wheel=6))
-    assert [(s.lo, s.hi, s.wheel) for s in pooled] == [(s.lo, s.hi, 6) for s in serial]
+    assert [(s.lo, s.hi) for s in pooled] == [(s.lo, s.hi) for s in serial]
     assert np.concatenate([s.values for s in pooled]).tobytes() == np.concatenate(
         [s.values for s in serial]
     ).tobytes()
@@ -838,14 +837,10 @@ def test_iter_segments_validates_arguments(monkeypatch):
 
 
 def test_trial_division_oracle_matches_omega_single():
-    """The selftest's vectorised oracle is omega_single done for many n at
-    once: equal on every n <= 10^5 and on 200 n near 10^9."""
-    small = np.arange(1, 10**5 + 1)
-    assert _omega_trial_division(small).tolist() == [omega_single(n) for n in range(1, 10**5 + 1)]
-    rng = np.random.default_rng(1729)
-    high = 10**9 + rng.integers(0, 10**6, size=200)
-    assert _omega_trial_division(high).tolist() == [omega_single(int(n)) for n in high]
-
+    """The selftest's oracle is omega_single done for a block of n at once:
+    equal on 200 consecutive n near 10^9."""
+    lo = 10**9 + int(np.random.default_rng(1729).integers(0, 10**6))
+    assert _omega_trial_block(lo, lo + 200).tolist() == [omega_single(n) for n in range(lo, lo + 200)]
 
 
 def test_trial_block_oracle_matches_omega_single_to_10_to_5():
@@ -884,8 +879,8 @@ def test_trial_division_oracle_on_squares_semiprimes_and_composite_divisors():
     squares = [p * p for p in primes]
     products = [p * q for i, p in enumerate(primes) for q in primes[i + 1 :]]
     composite = [25 * 1_000_003, 35 * 1_000_003, 25 * 31607, 35 * 1009, 5**12, 3 * 5**12]
-    ns = np.array(composite + products + squares, dtype=np.int64)
-    assert _omega_trial_division(ns).tolist() == [omega_single(int(n)) for n in ns]
+    for n in composite + products + squares:
+        assert _omega_trial_block(n, n + 1).tolist() == [omega_single(n)], n
 
 
 def test_trial_division_oracles_do_not_use_the_sieve(monkeypatch):
@@ -895,8 +890,8 @@ def test_trial_division_oracles_do_not_use_the_sieve(monkeypatch):
     for name in ("primes_up_to", "omega_block", "_small_prime_pattern", "_increments"):
         monkeypatch.setattr(sieve, name, fail)
     assert _omega_trial_block(1, 2001).tolist() == [omega_single(n) for n in range(1, 2001)]
-    ns = np.array([10**9 + 7, 2**29, 999_983**2, 25 * 1_000_003])
-    assert _omega_trial_division(ns).tolist() == [omega_single(int(n)) for n in ns]
+    for n in (10**9 + 7, 2**29, 999_983**2, 25 * 1_000_003):
+        assert _omega_trial_block(n, n + 1).tolist() == [omega_single(n)], n
 
 
 if given is not None:
