@@ -35,10 +35,14 @@ CONTRACTS = [
     # n coprime to 6, whole and in blocks of 1000003 of their values.
     (["density", *M2_12, *X8], [W1, W2, W1 + SEG, W2 + SEG], 0,
      "cd51cc791bc35d8711e40aa14fd3c0b623d2e728c957c9d06d0bc4c3d17ab24a", None),
-    # From 2^24 segments of 256 count slices each and segments of 1000003
-    # that end in a short sub-block; Tier-1 stops at 3 * 10^5.
+    # From 2^24 segments of 256 groups of 64 sub-blocks each and segments of
+    # 1000003 that end in a short sub-block; Tier-1 stops at 3 * 10^5.
     (["race", "--m", "3", *X8], [W1, W2, ["--segment-size", "16777216"], SEG], 0,
      "98e4f2be45ff57fd02296137ad4d61c727d2cbca87ab2aac59b2ca2d810427f7", None),
+    # The Liouville race, whose |Delta| = |L(x)| stays small, so the most
+    # sub-blocks go to the per-n scan; it ends at L(10^8) = -3884.
+    (["race", "--m", "2", *X8], [W1, W2, SEG], 0,
+     "fe018c0a37779fdf3144d1d8f96acef450de6b0bf9aeeb2e1945571724b6f2af", None),
 ]
 
 broken = []

@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import fold_classes, root_table
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_histogram, wheel_count
+from .residues import root_table
+from .sieve import DEFAULT_SEGMENT_SIZE, fold_classes, iter_segments, omega_counts, wheel_count
 
 #: Four checkpoints per decade.
 DEFAULT_RATIO = 10.0 ** 0.25
@@ -39,10 +39,6 @@ _CHUNK_RUNS = 1 << 14
 # _lift_runs holds the runs of at most about this many (d, checkpoint)
 # pairs at once.
 _CHUNK_CELLS = 1 << 18
-
-# Pieces of the stream at least this long are histogrammed one by one;
-# shorter ones share one labelled bincount.
-_LONG_PIECE = 1 << 11
 
 
 class InsufficientDataError(ValueError):
@@ -164,11 +160,12 @@ def record_many(
         for a in range(first, stop, _CHUNK_RUNS):
             b = min(a + _CHUNK_RUNS, stop)
             ends, which = np.unique(cuts[a:b] - start, return_inverse=True)
-            hists = running + _cumulative_histograms(values[done : ends[-1]], ends - done, bins)
+            pieces = omega_counts(values[done : ends[-1]], ends - done)[:, :bins]
+            hists = running + np.cumsum(pieces, axis=0)
             running, done = hists[-1].copy(), ends[-1]
             _add_runs(cells, hists[which], plus[a:b], minus[a:b])
         if done < len(values):
-            running = running + _cumulative_histograms(values[done:], [len(values) - done], bins)[-1]
+            running = running + omega_counts(values[done:], [len(values) - done])[0, :bins]
         first, start = stop, start + len(values)
         segment = next(segments, None)
     del cuts, plus, minus  # freed before the checkpoints are built
@@ -221,29 +218,6 @@ def _add_runs(cells: np.ndarray, hists: np.ndarray, plus: np.ndarray, minus: np.
     where several runs share a cell."""
     at = np.concatenate((plus, minus))[:, None] + np.arange(hists.shape[1])
     np.add.at(cells, at, np.concatenate((hists, -hists)))
-
-
-def _cumulative_histograms(values: np.ndarray, ends, bins: int) -> np.ndarray:
-    """Row k is the histogram of values[: ends[k]] in its first bins bins,
-    for ascending ends whose last is len(values).  Each piece between the
-    ends at least _LONG_PIECE long is counted by one omega_histogram, and
-    the shorter ones all by one bincount of their values labelled with
-    their piece."""
-    ends = np.asarray(ends, dtype=np.int64)
-    starts = np.concatenate(([0], ends[:-1]))
-    lengths = ends - starts
-    hists = np.zeros((len(ends), bins), dtype=np.int64)
-    long = lengths >= _LONG_PIECE
-    for k in np.flatnonzero(long).tolist():
-        hists[k] = omega_histogram(values[starts[k] : ends[k]])[:bins]
-    short = np.flatnonzero(~long)
-    if len(short):
-        # The short pieces' values one after another, labelled k * bins.
-        size = lengths[short]
-        at = np.repeat(starts[short] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-        labels = np.repeat(np.arange(0, len(short) * bins, bins), size) + values[at]
-        hists[short] = np.bincount(labels, minlength=len(short) * bins).reshape(-1, bins)
-    return np.cumsum(hists, axis=0, out=hists)
 
 
 def _fit_loglog(series: CheckpointSeries, magnitudes: np.ndarray, index: int) -> GrowthFit:

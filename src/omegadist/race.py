@@ -8,15 +8,14 @@ the first nonzero value sets the starting sign and is not an event.
 
 The scan has two levels.  Each sieve segment is cut into sub-blocks of
 SUB_BLOCK integers (the last one shorter when the segment length is not a
-multiple).  One bincount per COUNT_SLICE values, 64 sub-blocks, counts each
-Omega value in every sub-block, and the 64 values fold onto the m classes,
-for all pairs at once.  For one pair, let D be Delta just before a
-sub-block and c, c' the counts of j and j' in it.  Inside the sub-block
-Delta stays within [D - c', D + c], so where D > c' or D < -c it never
-reaches zero: every n in the sub-block has the sign of D, there is no event
-and no tie, and the last strict sign stays sign(D), which Delta already had
-just before the sub-block.  Such a sub-block only adds its length to one
-lead.  The test is exact, not a heuristic; the other sub-blocks, in
+multiple).  One call of sieve.omega_counts, the sub-blocks its pieces,
+counts every class in every sub-block, for all pairs at once.  For one
+pair, let D be Delta just before a sub-block and c, c' the counts of j
+and j' in it.  Inside the sub-block Delta stays within [D - c', D + c],
+so where D > c' or D < -c it never reaches zero: every n in the
+sub-block has the sign of D, there is no event and no tie, and the last
+strict sign stays sign(D), which Delta already had just before the
+sub-block.  Such a sub-block only adds its length to one lead.  The test is exact, not a heuristic; the other sub-blocks, in
 contiguous runs, go through the per-n scan, which alone reads each value's
 class.  Once |Delta| outgrows a sub-block, which happens early for m > 2,
 almost every sub-block is skipped and the cost per pair falls from O(x) to
@@ -32,8 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .residues import fold_classes
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_counts
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -42,11 +40,6 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 # exceeds a sub-block's class counts, long enough that the per-sub-block
 # arrays stay a small fraction of a segment.
 SUB_BLOCK = 1024
-
-# Values per bincount of the sub-block counts, a multiple of SUB_BLOCK: its
-# intp keys and offsets (512 KB each) and 64 * 64 bins fit in L2, whatever
-# the segment size.
-COUNT_SLICE = 1 << 16
 
 # Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
 # all-pairs list grows as m^2.
@@ -126,23 +119,6 @@ def _feed_blocks(
     race.final_delta = int(ends[-1])
 
 
-def _sub_block_counts(values: np.ndarray, m: int, offsets: np.ndarray) -> np.ndarray:
-    """counts[b, j] = #{i in sub-block b : values[i] = j (mod m)}, as int64.
-
-    Slices of at most len(offsets) values, a multiple of SUB_BLOCK, are
-    counted by one bincount each of values + offsets, where offsets[i] =
-    64 * (i // SUB_BLOCK) puts the 64 Omega values of each sub-block in
-    their own row; fold_classes folds the 64 columns onto the m classes.
-    """
-    pieces = []
-    for a in range(0, len(values), len(offsets)):
-        piece = values[a : a + len(offsets)]
-        blocks = -(-len(piece) // SUB_BLOCK)
-        hist = np.bincount(piece + offsets[: len(piece)], minlength=blocks * 64)
-        pieces.append(fold_classes(hist.reshape(blocks, 64), m))
-    return np.concatenate(pieces)
-
-
 def _scan(
     m: int,
     pairs: Iterable[tuple[int, int]],
@@ -156,10 +132,10 @@ def _scan(
     if m > MAX_MODULUS:
         raise ValueError(f"race modulus must be at most {MAX_MODULUS}, got {m}")
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
-    offsets = np.arange(COUNT_SLICE, dtype=np.intp) // SUB_BLOCK * 64
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
         values = segment.values
-        counts = _sub_block_counts(values, m, offsets)
+        ends = np.arange(SUB_BLOCK, len(values) + SUB_BLOCK, SUB_BLOCK).clip(max=len(values))
+        counts = omega_counts(values, ends, m)
         # Every n falls in exactly one class.
         lengths = counts.sum(axis=1)
         for race in races:

@@ -7,10 +7,11 @@ never accumulated per n in floating point: they are always derived from the
 integer tally through the finite Fourier transform, and the inverse transform
 recovers the tally bit for bit (up to the documented rounding tolerance).
 
-Every count is a 64-bin Omega histogram folded onto the classes by
-fold_classes, the one such fold: tally_segment folds a segment's cached
-histogram (so its values must not change after its first tally), and
-errorterms.record_many the cumulative histogram at each checkpoint.
+Every count is a 64-bin Omega histogram from sieve.omega_counts folded
+onto the classes by sieve.fold_classes, the one such fold: tally_segment
+folds a segment's cached histogram (so its values must not change after
+its first tally), and errorterms.record_many the cumulative histogram at
+each checkpoint.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 # iter_segments is not called here, but perfbench/spans.py patches
 # residues.iter_segments when it traces a run, so the name stays bound.
-from .sieve import OmegaSegment, iter_segments  # noqa: F401
+from .sieve import OmegaSegment, fold_classes, iter_segments  # noqa: F401
 
 #: Inverse-transform results farther than this from integers (or from the
 #: real axis) indicate corrupted input and raise InconsistentTransformError.
@@ -49,17 +50,6 @@ def root_table(m: int) -> np.ndarray:
         powers[m // 4] = 1.0j
         powers[3 * m // 4] = -1.0j
     return powers
-
-
-def fold_classes(hist: np.ndarray, m: int) -> np.ndarray:
-    """counts[..., j] = the sum of hist[..., w] over w = j (mod m): the 64
-    Omega bins on the last axis of hist folded onto m >= 1 classes.  The
-    64 // m full rows of m bins are summed, and the 64 mod m bins left over
-    add to the first classes (all 64 of them when m > 64)."""
-    rows = 64 // m
-    counts = hist[..., : rows * m].reshape(*hist.shape[:-1], rows, m).sum(axis=-2)
-    counts[..., : 64 - rows * m] += hist[..., rows * m :]
-    return counts
 
 
 @dataclass

@@ -48,9 +48,13 @@ spoke of the same pre-sieve: they form two lanes, n = 1 and n = 5 (mod 6),
 each a progression of step 6 sieved from its own sixth of the pattern, and
 errorterms lifts them by the powers 2^a * 3^b.
 
-Each OmegaSegment also carries a 64-bin histogram of its values, counted
-on first use and cached, which every residue tally of the segment folds;
-a segment's values must therefore not change after it is first tallied.
+omega_counts is the one Omega counter: it counts the values of each of
+consecutive pieces of an array by class mod m, for the segment histogram,
+the race's sub-blocks and the pieces between errorterms' checkpoint cuts,
+and fold_classes is the one fold of 64 Omega bins onto m classes.  Each
+OmegaSegment carries the 64-bin histogram of its values, counted on first
+use and cached, which every residue tally of the segment folds; a
+segment's values must therefore not change after it is first tallied.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ import numpy as np
 # cache-friendly.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# omega_histogram counts this many pairs of values per bincount.
-_PAIR_SLICE = 1 << 16
+# Keys per bincount of omega_counts: pairs of values in a long piece, or
+# the values of a group of short pieces.  bincount's intp copy of them
+# stays at 512 KB, in L2 with the bins.
+_COUNT_KEYS = 1 << 16
 
 # Fixed-point units per bit of the log accumulator.  An n below 2**64 sums
 # at most 15 * 64 + 32 = 992 units, which fits its word's 10-bit field; the
@@ -190,44 +196,71 @@ class OmegaSegment:
     @functools.cached_property
     def histogram(self) -> np.ndarray:
         """hist[w] = #{i : values[i] == w} for w < 64, read-only."""
-        hist = omega_histogram(self.values)
+        hist = omega_counts(self.values, [len(self.values)])[0]
         hist.flags.writeable = False
         return hist
 
 
-def omega_histogram(values: np.ndarray) -> np.ndarray:
-    """The 64-bin histogram of uint8 Omega values: hist[w] counts the w.
+def fold_classes(hist: np.ndarray, m: int) -> np.ndarray:
+    """counts[..., j] = the sum of hist[..., w] over w = j (mod m): the 64
+    Omega bins on the last axis of hist folded onto m >= 1 classes.  The
+    64 // m full rows of m bins are summed, and the 64 mod m bins left over
+    add to the first classes (all 64 of them when m > 64)."""
+    rows = 64 // m
+    counts = hist[..., : rows * m].reshape(*hist.shape[:-1], rows, m).sum(axis=-2)
+    counts[..., : 64 - rows * m] += hist[..., rows * m :]
+    return counts
 
-    The values are read in pairs: each uint16 holds two values below 64, so
-    a 2^14-bin bincount over half as many elements counts both, and summing
-    the (64, 256) table along each axis gives the count of each byte
-    whatever the byte order; fewer values than those bins take a plain
-    bincount.  The pairs are counted _PAIR_SLICE at a time, which keeps
-    bincount's intp copy of them at 512 KB.  Raises TypeError for values
+
+def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
+    """counts[k, j] = #{i in piece k : values[i] = j (mod m)}, int64 of
+    shape (len(ends), m), where piece k of the uint8 Omega values is
+    values[ends[k - 1] : ends[k]], ends[-1] read as 0; the ends ascend and
+    the last is len(values).  At m = 64 row k is piece k's 64-bin histogram.
+
+    A piece of 2^14 values or more is read in pairs: each uint16 holds two
+    values below 64, so a 2^14-bin bincount of _COUNT_KEYS pairs at a time
+    counts both, and summing the (64, 256) table along each axis gives the
+    count of each byte whatever the byte order.  A run of shorter pieces is
+    counted in groups of at most _COUNT_KEYS values and 1024 pieces, one
+    bincount each of the values plus 64 times their piece's place in the
+    group, a key that fits in uint16.  Each piece's or group's 64 bins are
+    folded onto the m classes by fold_classes.  Raises TypeError for values
     that are not uint8 and ValueError for a value of 64 or more.
     """
     if values.dtype != np.uint8:
         raise TypeError(f"need uint8 Omega values, got {values.dtype}")
-    if len(values) < 1 << 14:
-        hist = np.bincount(values, minlength=64)
-        if len(hist) > 64:
-            raise ValueError("Omega values must be below 64")
-        return hist
-    pairs = values[: len(values) - len(values) % 2].view(np.uint16)
-    pair_counts = np.zeros(1 << 14, dtype=np.int64)
-    for a in range(0, len(pairs), _PAIR_SLICE):
-        counts = np.bincount(pairs[a : a + _PAIR_SLICE], minlength=1 << 14)
-        if len(counts) > 1 << 14:
-            raise ValueError("Omega values must be below 64")
-        pair_counts += counts
-    table = pair_counts.reshape(64, 256)
-    hist = table.sum(axis=0)
-    hist[:64] += table.sum(axis=1)
-    if len(values) % 2:
-        hist[values[-1]] += 1
-    if hist[64:].any():
+    if len(values) and values.max() >= 64:
         raise ValueError("Omega values must be below 64")
-    return hist[:64]
+    ends = np.asarray(ends, dtype=np.intp)
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
+    counts = np.empty((len(ends), m), dtype=np.int64)
+    long = np.flatnonzero(lengths >= 1 << 14).tolist()
+    for k in long:
+        # The pair view needs contiguous bytes; a contiguous piece is not copied.
+        piece = np.ascontiguousarray(values[starts[k] : ends[k]])
+        pairs = piece[: len(piece) - len(piece) % 2].view(np.uint16)
+        table = sum(
+            np.bincount(pairs[a : a + _COUNT_KEYS], minlength=1 << 14)
+            for a in range(0, len(pairs), _COUNT_KEYS)
+        ).reshape(64, 256)
+        hist = table.sum(axis=0)[:64] + table.sum(axis=1)
+        if len(piece) % 2:
+            hist[piece[-1]] += 1
+        counts[k] = fold_classes(hist, m)
+    k = 0
+    for stop in [*long, len(ends)]:
+        while k < stop:
+            j = int(np.searchsorted(ends, starts[k] + _COUNT_KEYS, side="right"))
+            j = min(j, k + 1024, stop)
+            keys = np.repeat(np.arange(0, 64 * (j - k), 64, dtype=np.uint16), lengths[k:j])
+            keys += values[starts[k] : ends[j - 1]]
+            hist = np.bincount(keys, minlength=64 * (j - k)).reshape(j - k, 64)
+            counts[k:j] = fold_classes(hist, m)
+            k = j
+        k = stop + 1
+    return counts
 
 
 def primes_up_to(limit: int) -> PrimeTable:

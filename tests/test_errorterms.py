@@ -148,14 +148,14 @@ def test_record_many_histograms_each_piece_once(monkeypatch):
     order."""
     x_max, segment_size = 5000, 1031
     pieces, ends = [], []
-    histograms = errorterms._cumulative_histograms
+    counts = errorterms.omega_counts
 
-    def recording_histograms(values, piece_ends, bins):
+    def recording_counts(values, piece_ends, m=64):
         ends.extend(sum(map(len, pieces)) + np.asarray(piece_ends))
         pieces.append(values.copy())
-        return histograms(values, piece_ends, bins)
+        return counts(values, piece_ends, m)
 
-    monkeypatch.setattr(errorterms, "_cumulative_histograms", recording_histograms)
+    monkeypatch.setattr(errorterms, "omega_counts", recording_counts)
     record_many(range(1, 13), x_max, segment_size=segment_size)
     schedule = checkpoint_schedule(x_max)
     expected = {

@@ -11,14 +11,13 @@ import pytest
 
 from omegadist import race
 from omegadist.race import (
-    COUNT_SLICE,
     NEGATIVE_TO_POSITIVE,
     POSITIVE_TO_NEGATIVE,
     SUB_BLOCK,
     all_pairs,
     race_scan,
 )
-from omegadist.sieve import OmegaSegment, iter_segments, omega_single
+from omegadist.sieve import _COUNT_KEYS, OmegaSegment, iter_segments, omega_counts, omega_single
 
 
 def test_hand_traced_m2():
@@ -345,12 +344,13 @@ def test_one_above_edge_sub_blocks_skip_the_per_n_scan(monkeypatch):
     assert fed == [SUB_BLOCK, SUB_BLOCK]
 
 
-@pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5, 16 * COUNT_SLICE + 5000])
+@pytest.mark.parametrize("segment_size", [977, 1031, 3 * SUB_BLOCK + 5, 16 * _COUNT_KEYS + 5000])
 @pytest.mark.parametrize("m", [3, 4])
 def test_odd_segment_sizes_match_reference(m, segment_size):
     # Most sub-blocks are skipped here.  The longest segment is counted in
-    # 16 count slices and a short tail, and is followed by a short one.
-    x_max = 100_000 if segment_size < COUNT_SLICE else segment_size + 150_000
+    # 16 full groups of sub-blocks and a short tail, and is followed by a
+    # short one.
+    x_max = 100_000 if segment_size < _COUNT_KEYS else segment_size + 150_000
     omegas = np.concatenate([s.values for s in iter_segments(x_max)])
     summaries = all_pairs(m, x_max, segment_size=segment_size)
     _assert_matches(summaries, omegas, m, _cumsum_reference)
@@ -369,13 +369,13 @@ def _recorded_counts(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("segment_size", [1000, 3 * SUB_BLOCK + 5, 16 * COUNT_SLICE + 3000])
+@pytest.mark.parametrize("segment_size", [1000, 3 * SUB_BLOCK + 5, 16 * _COUNT_KEYS + 3000])
 @pytest.mark.parametrize("m", [2, 3, 12, 64])
 def test_sub_block_counts_match_per_sub_block_bincount(m, segment_size, monkeypatch):
     """Every Omega value below 64 occurs, so each of the 64 columns folds
     onto its class; segments of 1000 and 3 * 1024 + 5 values end in a short
-    sub-block, and the longest is counted in 16 count slices and a short
-    tail."""
+    sub-block, and the longest is counted in 16 full groups of sub-blocks
+    and a short tail."""
     rng = np.random.default_rng(m * 1000 + segment_size % 1000)
     omegas = rng.integers(0, 64, 2 * segment_size + 1500, dtype=np.uint8)
     _patch_stream(monkeypatch, omegas, segment_size)
@@ -394,29 +394,28 @@ def test_sub_block_counts_match_per_sub_block_bincount(m, segment_size, monkeypa
 
 @pytest.mark.parametrize("m", [2, 3, 12, 64])
 def test_sub_block_counts_do_not_depend_on_the_slice(m):
-    """Offsets of 1, 3, 64 and 1024 sub-blocks count 2^20 + 777 values in
-    slices of 1024 to 2^20 values, each slicing ending in a short tail; all
-    give the same counts as one bincount per sub-block."""
+    """2^20 + 777 values cut at every sub-block, the last one short, are
+    counted in groups of 64 sub-blocks and a short tail; every row is one
+    bincount of its sub-block, folded onto the m classes."""
     rng = np.random.default_rng(m)
     values = rng.integers(0, 64, 2**20 + 777, dtype=np.uint8)
     expected = np.array([
         np.bincount(values[a : a + SUB_BLOCK] % m, minlength=m)
         for a in range(0, len(values), SUB_BLOCK)
     ])
-    for blocks in (1, 3, 64, 1024):
-        offsets = np.arange(blocks * SUB_BLOCK, dtype=np.intp) // SUB_BLOCK * 64
-        counts = race._sub_block_counts(values, m, offsets)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected)
+    ends = np.arange(SUB_BLOCK, len(values) + SUB_BLOCK, SUB_BLOCK).clip(max=len(values))
+    counts = omega_counts(values, ends, m)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
 
 
 def test_race_memory_is_bounded_by_the_count_slice(monkeypatch):
-    """A 2^24 segment is counted in 2^16-value slices: once the block is
-    sieved, the scan adds about 4.6 MB to the 16 MB block: the 1 MB of
-    bincount keys and offsets, the per-sub-block counts and up to 3 MB in
-    the per-n scan of the sub-blocks it cannot skip.  One bincount over the
-    segment took 256 MB more.  The whole run's peak is the sieve's own,
-    about 53 MB."""
+    """A 2^24 segment is counted in groups of 2^16 values: once the block
+    is sieved, the scan peaks at about 20.3 MB, 3.9 MB above the 16 MB
+    block: the 128 KB of uint16 bincount keys and their 512 KB intp copy,
+    the sub-block ends and counts and up to 3 MB in the per-n scan of the
+    sub-blocks it cannot skip.  One bincount over the segment took 256 MB
+    more.  The whole run's peak is the sieve's own, about 53 MB."""
     stream = race.iter_segments
     sieve_peaks = []
 

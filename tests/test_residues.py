@@ -32,7 +32,7 @@ from omegadist.sieve import (
     OmegaSegment,
     iter_segments,
     omega_block,
-    omega_histogram,
+    omega_counts,
     omega_single,
     primes_up_to,
 )
@@ -151,11 +151,11 @@ def test_tally_segment_histograms_a_segment_once(monkeypatch):
     segment = omega_block(1, 5001, primes_up_to(71))
     calls = []
 
-    def counting_histogram(values):
+    def counting_counts(values, ends, m=64):
         calls.append(len(values))
-        return omega_histogram(values)
+        return omega_counts(values, ends, m)
 
-    monkeypatch.setattr(sieve, "omega_histogram", counting_histogram)
+    monkeypatch.setattr(sieve, "omega_counts", counting_counts)
     for m in range(1, 13):
         got = tally_segment(new_tally(m), segment).counts
         assert got.tolist() == plain_fold(segment.values, m).tolist()

@@ -942,13 +942,71 @@ else:
 
 @pytest.mark.parametrize("length", [1, 2, 2**14 - 1, 2**14, 2**14 + 1])
 def test_histogram_on_both_sides_of_the_paired_count(length):
-    """Below 2^14 values a plain bincount, from 2^14 on the paired count:
+    """Below 2^14 values a grouped bincount, from 2^14 on the paired count:
     both give the 64-bin histogram and refuse a value of 64."""
     values = np.random.default_rng(length).integers(0, 64, length, dtype=np.uint8)
-    assert sieve.omega_histogram(values).tolist() == np.bincount(values, minlength=64).tolist()
+    counts = sieve.omega_counts(values, [len(values)])
+    assert counts.tolist() == [np.bincount(values, minlength=64).tolist()]
     values[-1] = 64
     with pytest.raises(ValueError, match="below 64"):
-        sieve.omega_histogram(values)
+        sieve.omega_counts(values, [len(values)])
+
+
+def _random_ends(rng, draw):
+    """Ascending piece ends, mixing empty, one-value, short and long pieces
+    on both sides of 2^14; every tenth draw is 3000 pieces of up to 40
+    values, more than one group of short pieces may hold."""
+    if draw % 10 == 9:
+        return np.cumsum(rng.integers(0, 41, 3000))
+    lengths = [
+        int(rng.choice([0, 1, rng.integers(2, 2**14), 2**14 - 1, 2**14, rng.integers(2**14, 2**17)]))
+        for _ in range(rng.integers(1, 8))
+    ]
+    return np.cumsum(lengths)
+
+
+def test_omega_counts_matches_a_bincount_per_piece():
+    """420 draws of random ends, from an odd byte offset in half of them,
+    each with one m from 1 to 70 (every m six times), and empty values:
+    row k is the bincount of piece k, folded onto the m classes."""
+    rng = np.random.default_rng(2009)
+    for draw in range(420):
+        m, offset = 1 + draw % 70, draw % 2
+        ends = _random_ends(rng, draw)
+        base = rng.integers(0, 64, offset + ends[-1], dtype=np.uint8)
+        values = base[offset:]
+        starts = np.concatenate(([0], ends[:-1]))
+        expected = np.array([
+            sieve.fold_classes(np.bincount(values[a:b], minlength=64), m)
+            for a, b in zip(starts, ends)
+        ])
+        counts = sieve.omega_counts(values, ends, m)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected), (m, ends.tolist())
+    empty = np.zeros(0, dtype=np.uint8)
+    for ends in ([0], [0, 0, 0]):
+        assert sieve.omega_counts(empty, ends, 5).tolist() == [[0] * 5] * len(ends)
+
+
+@pytest.mark.parametrize("where", ["middle short piece", "long piece", "last piece"])
+def test_omega_counts_refuses_a_64_in_any_piece(where):
+    """A 64 in one short piece used to be counted as a 0 of the next."""
+    values = np.zeros(3 * 2**14, dtype=np.uint8)
+    ends = [1024, 2048, 3072, 3072 + 2**14, 3 * 2**14]
+    at = {"middle short piece": 1029, "long piece": 5000, "last piece": 3 * 2**14 - 1}[where]
+    values[at] = 64
+    with pytest.raises(ValueError, match="below 64"):
+        sieve.omega_counts(values, ends, 3)
+
+
+@pytest.mark.parametrize("length", [1000, 2**15 + 1])
+def test_omega_counts_reads_strided_values(length):
+    """Every other value of a block, on the grouped path and on the paired
+    count, which needs contiguous bytes."""
+    values = np.random.default_rng(length).integers(0, 64, 2 * length, dtype=np.uint8)[::2]
+    expected = np.bincount(values, minlength=64)
+    assert sieve.omega_counts(values, [len(values)]).tolist() == [expected.tolist()]
+    assert OmegaSegment(1, length + 1, values).histogram.tolist() == expected.tolist()
 
 
 def test_uint8_headroom():
