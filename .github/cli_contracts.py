@@ -43,6 +43,14 @@ CONTRACTS = [
     # sub-blocks go to the per-n scan; it ends at L(10^8) = -3884.
     (["race", "--m", "2", *X8], [W1, W2, SEG], 0,
      "fe018c0a37779fdf3144d1d8f96acef450de6b0bf9aeeb2e1945571724b6f2af", None),
+    # Every one of the 12 classes occurs below 10^8, so every lane of the
+    # sub-block count is live.
+    (["race", "--m", "12", *X8], [W1, W2, SEG], 0,
+     "84b54410069d112eaa8572bcf4ebcf3527fc03430baa35309f3138e13d8e304e", None),
+    # Ω is at most 20 here, so the lane count stops at the largest value,
+    # and most of the 2016 pairs race two empty classes.
+    (["race", "--m", "64", "--x-max", "2000000"], [W1, W2, SEG], 0,
+     "326d07ec5f4dbf2271fe1ff99e9db7c2c6928c8e5a564208bc41f6b1917fd1aa", None),
 ]
 
 broken = []

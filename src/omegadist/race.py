@@ -8,20 +8,19 @@ the first nonzero value sets the starting sign and is not an event.
 
 The scan has two levels.  Each sieve segment is cut into sub-blocks of
 SUB_BLOCK integers (the last one shorter when the segment length is not a
-multiple).  One call of sieve.omega_counts, the sub-blocks its pieces,
-counts every class in every sub-block, for all pairs at once.  For one
-pair, let D be Delta just before a sub-block and c, c' the counts of j
-and j' in it.  Inside the sub-block Delta stays within [D - c', D + c],
-so where D > c' or D < -c it never reaches zero: every n in the
-sub-block has the sign of D, there is no event and no tie, and the last
-strict sign stays sign(D), which Delta already had just before the
-sub-block.  Such a sub-block only adds its length to one lead.  The test is exact, not a heuristic; the other sub-blocks, in
-contiguous runs, go through the per-n scan, which alone reads each value's
-class.  Once |Delta| outgrows a sub-block, which happens early for m > 2,
-almost every sub-block is skipped and the cost per pair falls from O(x) to
-O(x / SUB_BLOCK).  Each side of the test needs only one class count, which
-matters at m = 2: there c + c' is the whole sub-block, while |Delta| stays
-near a sub-block's length below 10^7.
+multiple).  _class_counts counts every class in every sub-block, for all
+pairs at once.  For one pair, let D be Delta just before a sub-block and
+c, c' the counts of j and j' in it.  Inside the sub-block Delta stays
+within [D - c', D + c], so where D > c' or D < -c, or c = c' = 0, it
+keeps the sign of D (or stays 0): there is no event, the last strict sign
+stays, and the sub-block only adds its length to one lead or to the ties.
+The test is exact, not a heuristic; the other sub-blocks, in contiguous
+runs, go through the per-n scan, which alone reads each value's class.
+Once |Delta| outgrows a sub-block, which happens early for m > 2, almost
+every sub-block is skipped and the cost per pair falls from O(x) to
+O(x / SUB_BLOCK).  Each side of the test needs only one class count,
+which matters at m = 2: there c + c' is the whole sub-block, while
+|Delta| stays near a sub-block's length below 10^7.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_counts
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_counts, omega_max
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -40,6 +39,9 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 # exceeds a sub-block's class counts, long enough that the per-sub-block
 # arrays stay a small fraction of a segment.
 SUB_BLOCK = 1024
+
+# Values per slice of _class_counts, a multiple of SUB_BLOCK: 256 KB each.
+_LANE_SLICE = 1 << 18
 
 # Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
 # all-pairs list grows as m^2.
@@ -69,6 +71,34 @@ class RaceSummary:
     lead_tie: int = 0   # ... with Delta(n) == 0
     final_delta: int = 0
     last_sign: int = 0  # sign of the last nonzero Delta, 0 before the first
+
+
+def _residues(values: np.ndarray, m: int) -> np.ndarray:
+    """values mod m as uint8, by numpy's SIMD floor_divide; % has no SIMD loop."""
+    return values - m * (values // m)
+
+
+def _class_counts(values: np.ndarray, m: int) -> np.ndarray:
+    """omega_counts(values, ends, m) for ends at every SUB_BLOCK.  For each
+    slice of whole sub-blocks and class j up to the largest value, a compare
+    gives a byte of 0 or 1 per value, and a sub-block's bytes, added as
+    uint64 words, sum in 8 byte lanes of at most 128 ones, which never
+    carry, whatever the byte order.  Raises as omega_max does."""
+    live = min(m, omega_max(values) + 1)
+    k = len(values) // SUB_BLOCK
+    counts = np.zeros((-(-len(values) // SUB_BLOCK), m), dtype=np.int64)
+    lanes = np.empty((live, k), dtype=np.uint64)
+    flags = np.empty(min(k * SUB_BLOCK, _LANE_SLICE), dtype=bool)
+    for a in range(0, k * SUB_BLOCK, _LANE_SLICE):
+        residues = _residues(values[a : min(a + _LANE_SLICE, k * SUB_BLOCK)], m)
+        words = flags[: len(residues)].view(np.uint64).reshape(-1, SUB_BLOCK // 8)
+        for j in range(live):
+            np.equal(residues, j, out=flags[: len(residues)])
+            np.add.reduce(words, axis=1, out=lanes[j, a // SUB_BLOCK :][: len(words)])
+    counts[:k, :live] = lanes.view(np.uint8).reshape(live, k, 8).sum(axis=2).T
+    if k * SUB_BLOCK < len(values):
+        counts[k] = omega_counts(values[k * SUB_BLOCK :], [len(values) % SUB_BLOCK], m)[0]
+    return counts
 
 
 def _feed(race: RaceSummary, residues: np.ndarray, lo: int) -> None:
@@ -105,9 +135,10 @@ def _feed_blocks(
     cj, cjp = counts[:, race.j], counts[:, race.jprime]
     ends = race.final_delta + np.cumsum(cj - cjp)
     starts = ends - (cj - cjp)
-    skip = (starts > cjp) | (starts < -cj)
+    skip = (starts > cjp) | (starts < -cj) | ((cj == 0) & (cjp == 0))
     race.lead_pos += int(lengths[skip & (starts > 0)].sum())
     race.lead_neg += int(lengths[skip & (starts < 0)].sum())
+    race.lead_tie += int(lengths[skip & (starts == 0)].sum())
     # Maximal runs [a, b) of sub-blocks that need the per-n scan.
     edges = np.flatnonzero(np.diff(skip, prepend=True, append=True))
     # A skipped sub-block keeps the sign Delta had just before it, so
@@ -115,7 +146,7 @@ def _feed_blocks(
     for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
         race.final_delta = int(starts[a])
         run = values[a * SUB_BLOCK : b * SUB_BLOCK]
-        _feed(race, run % race.m, lo + a * SUB_BLOCK)
+        _feed(race, _residues(run, race.m), lo + a * SUB_BLOCK)
     race.final_delta = int(ends[-1])
 
 
@@ -133,13 +164,11 @@ def _scan(
         raise ValueError(f"race modulus must be at most {MAX_MODULUS}, got {m}")
     races = [RaceSummary(m, j, jprime, x_max) for j, jprime in pairs]
     for segment in iter_segments(x_max, segment_size=segment_size, workers=workers):
-        values = segment.values
-        ends = np.arange(SUB_BLOCK, len(values) + SUB_BLOCK, SUB_BLOCK).clip(max=len(values))
-        counts = omega_counts(values, ends, m)
+        counts = _class_counts(segment.values, m)
         # Every n falls in exactly one class.
         lengths = counts.sum(axis=1)
         for race in races:
-            _feed_blocks(race, values, segment.lo, counts, lengths)
+            _feed_blocks(race, segment.values, segment.lo, counts, lengths)
     return races
 
 

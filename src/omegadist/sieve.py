@@ -48,12 +48,12 @@ spoke of the same pre-sieve: they form two lanes, n = 1 and n = 5 (mod 6),
 each a progression of step 6 sieved from its own sixth of the pattern, and
 errorterms lifts them by the powers 2^a * 3^b.
 
-omega_counts is the one Omega counter: it counts the values of each of
-consecutive pieces of an array by class mod m, for the segment histogram,
-the race's sub-blocks and the pieces between errorterms' checkpoint cuts,
-and fold_classes is the one fold of 64 Omega bins onto m classes.  Each
-OmegaSegment carries the 64-bin histogram of its values, counted on first
-use and cached, which every residue tally of the segment folds; a
+omega_counts counts the values of consecutive pieces of an array by class
+mod m, for the segment histogram and errorterms' checkpoint pieces; the
+race counts its sub-blocks by compares, and omega_max checks the values
+for both.  fold_classes is the one fold of 64 Omega bins onto m classes.
+Each OmegaSegment carries the 64-bin histogram of its values, counted on
+first use and cached, which every residue tally of the segment folds; a
 segment's values must therefore not change after it is first tallied.
 """
 
@@ -212,6 +212,16 @@ def fold_classes(hist: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
+def omega_max(values: np.ndarray) -> int:
+    """The largest uint8 Omega value (-1 for none), checked to be below 64."""
+    if values.dtype != np.uint8:
+        raise TypeError(f"need uint8 Omega values, got {values.dtype}")
+    top = int(values.max()) if len(values) else -1
+    if top >= 64:
+        raise ValueError("Omega values must be below 64")
+    return top
+
+
 def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
     """counts[k, j] = #{i in piece k : values[i] = j (mod m)}, int64 of
     shape (len(ends), m), where piece k of the uint8 Omega values is
@@ -225,13 +235,9 @@ def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
     counted in groups of at most _COUNT_KEYS values and 1024 pieces, one
     bincount each of the values plus 64 times their piece's place in the
     group, a key that fits in uint16.  Each piece's or group's 64 bins are
-    folded onto the m classes by fold_classes.  Raises TypeError for values
-    that are not uint8 and ValueError for a value of 64 or more.
+    folded onto the m classes by fold_classes.  Raises as omega_max does.
     """
-    if values.dtype != np.uint8:
-        raise TypeError(f"need uint8 Omega values, got {values.dtype}")
-    if len(values) and values.max() >= 64:
-        raise ValueError("Omega values must be below 64")
+    omega_max(values)
     ends = np.asarray(ends, dtype=np.intp)
     starts = np.concatenate(([0], ends[:-1]))
     lengths = ends - starts

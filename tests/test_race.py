@@ -11,9 +11,11 @@ import pytest
 
 from omegadist import race
 from omegadist.race import (
+    _LANE_SLICE,
     NEGATIVE_TO_POSITIVE,
     POSITIVE_TO_NEGATIVE,
     SUB_BLOCK,
+    _class_counts,
     all_pairs,
     race_scan,
 )
@@ -106,9 +108,11 @@ def _reference_race(omegas, m, j, jprime):
     return events, (leads[1], leads[-1], leads[0]), delta, last_sign
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", [*range(2, 8), 16, 24])
 def test_all_pairs_matches_per_n_reference(m):
-    x_max = 5000  # several 1024-blocks, so the scan state crosses boundaries
+    # Several 1024-blocks, so the scan state crosses boundaries.  Omega is
+    # at most 12 here, so at m = 16 and 24 the classes above 12 are empty.
+    x_max = 5000
     omegas = [omega_single(n) for n in range(1, x_max + 1)]
     for summary in all_pairs(m, x_max, segment_size=1024):
         events, leads, delta, last_sign = _reference_race(omegas, m, summary.j, summary.jprime)
@@ -333,6 +337,17 @@ def _fed_lengths(monkeypatch):
     return fed
 
 
+def test_pairs_of_empty_classes_skip_the_per_n_scan(monkeypatch):
+    # Below 20000, Omega is at most 14, so 1176 of the 2016 pairs at m = 64
+    # have both classes empty, and Delta stays 0 for them; only sub-blocks
+    # where a class occurs and Delta is near 0 reach the per-n scan.  A
+    # scan that fed every sub-block with Delta = 0 at its start fed 64% of
+    # the pair-values.
+    fed = _fed_lengths(monkeypatch)
+    all_pairs(64, 20_000)
+    assert sum(fed) < 0.05 * 2016 * 20_000
+
+
 def test_one_above_edge_sub_blocks_skip_the_per_n_scan(monkeypatch):
     # Sub-blocks 1 (Delta_start = c_j' + 1) and 3 (Delta_start = L - 4,
     # c_j' = 0) are skipped; a two-sided |Delta_start| > c_j + c_j' scans
@@ -369,13 +384,16 @@ def _recorded_counts(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("segment_size", [1000, 3 * SUB_BLOCK + 5, 16 * _COUNT_KEYS + 3000])
+@pytest.mark.parametrize(
+    "segment_size",
+    [1000, 3 * SUB_BLOCK + 5, _LANE_SLICE, _LANE_SLICE + 5, 16 * _COUNT_KEYS + 3000],
+)
 @pytest.mark.parametrize("m", [2, 3, 12, 64])
 def test_sub_block_counts_match_per_sub_block_bincount(m, segment_size, monkeypatch):
-    """Every Omega value below 64 occurs, so each of the 64 columns folds
-    onto its class; segments of 1000 and 3 * 1024 + 5 values end in a short
-    sub-block, and the longest is counted in 16 full groups of sub-blocks
-    and a short tail."""
+    """Every Omega value below 64 occurs, so every class is live; segments
+    of 1000, 3 * 1024 + 5 and 2^18 + 5 values end in a short sub-block, a
+    segment of 2^18 values is exactly one slice of the lane count, and the
+    longest takes four full slices, a short one and a short sub-block."""
     rng = np.random.default_rng(m * 1000 + segment_size % 1000)
     omegas = rng.integers(0, 64, 2 * segment_size + 1500, dtype=np.uint8)
     _patch_stream(monkeypatch, omegas, segment_size)
@@ -409,13 +427,42 @@ def test_sub_block_counts_do_not_depend_on_the_slice(m):
     assert np.array_equal(counts, expected)
 
 
+@pytest.mark.parametrize("m", range(2, 65))
+def test_class_counts_match_per_sub_block_bincount(m):
+    """Values below (m + 1) // 2, so the classes above the largest value
+    stay 0, and values with a 63, so every class is live; 2^18 + 3 * 1024 + 5
+    values span a full slice, a short slice and a short last sub-block."""
+    rng = np.random.default_rng(m)
+    n = _LANE_SLICE + 3 * SUB_BLOCK + 5
+    for values in (rng.integers(0, (m + 1) // 2, n, dtype=np.uint8),
+                   np.append(rng.integers(0, 64, n - 1, dtype=np.uint8), np.uint8(63))):
+        expected = np.array([
+            np.bincount(values[a : a + SUB_BLOCK] % m, minlength=m)
+            for a in range(0, n, SUB_BLOCK)
+        ])
+        counts = _class_counts(values, m)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("dtype,top,error", [(np.uint16, 5, TypeError), (np.uint8, 64, ValueError)])
+def test_all_pairs_refuses_values_that_are_not_omega(dtype, top, error, monkeypatch):
+    values = np.arange(3000, dtype=dtype) % 7
+    values[1500] = top
+    segment = OmegaSegment(1, len(values) + 1, values)
+    monkeypatch.setattr(race, "iter_segments", lambda x_max, **_: iter([segment]))
+    with pytest.raises(error):
+        all_pairs(3, len(values))
+
+
 def test_race_memory_is_bounded_by_the_count_slice(monkeypatch):
-    """A 2^24 segment is counted in groups of 2^16 values: once the block
-    is sieved, the scan peaks at about 20.3 MB, 3.9 MB above the 16 MB
-    block: the 128 KB of uint16 bincount keys and their 512 KB intp copy,
-    the sub-block ends and counts and up to 3 MB in the per-n scan of the
-    sub-blocks it cannot skip.  One bincount over the segment took 256 MB
-    more.  The whole run's peak is the sieve's own, about 53 MB."""
+    """A 2^24 segment is counted in slices of 2^18 values: once the block
+    is sieved, the scan peaks at about 20.2 MB, 4.2 MB above the 16 MB
+    block: a slice's 256 KB of residues and 256 KB of compare flags, the
+    byte lanes and sub-block counts at 128 KB per class each, and up to
+    3 MB in the per-n scan of the sub-blocks it cannot skip.  One bincount
+    over the segment took 256 MB more.  The whole run's peak is the
+    sieve's own, about 53 MB."""
     stream = race.iter_segments
     sieve_peaks = []
 
