@@ -40,7 +40,7 @@ NEGATIVE_TO_POSITIVE = "negative-to-positive"
 # arrays stay a small fraction of a segment.
 SUB_BLOCK = 1024
 
-# Values per slice of _class_counts, a multiple of SUB_BLOCK: 256 KB each.
+# Values per _class_counts slice, a multiple of SUB_BLOCK: 256 KB per buffer.
 _LANE_SLICE = 1 << 18
 
 # Omega(n) < 64 below 2**64, so every class from 64 on is empty, while the
