@@ -35,6 +35,11 @@ CONTRACTS = [
     # n coprime to 6, whole and in blocks of 1000003 of their values.
     (["density", *M2_12, *X8], [W1, W2, W1 + SEG, W2 + SEG], 0,
      "cd51cc791bc35d8711e40aa14fd3c0b623d2e728c957c9d06d0bc4c3d17ab24a", None),
+    # The dense schedule at 1e8: 54,514 checkpoints whose 1,355,696 lift runs
+    # are added in chunks through one flat np.add.at each; Tier-1's dense
+    # schedules stop at small x.
+    (["density", "--m", "3", *X8, "--ratio", "1.0002"], [W1, W2, W1 + SEG], 0,
+     "5941aafb0caa274b36c15ac202516afb2636004f0029b0881354859a2e439488", None),
     # From 2^24 segments of 256 groups of 64 sub-blocks each and segments of
     # 1000003 that end in a short sub-block; Tier-1 stops at 3 * 10^5.
     (["race", "--m", "3", *X8], [W1, W2, ["--segment-size", "16777216"], SEG], 0,

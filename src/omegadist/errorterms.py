@@ -215,9 +215,9 @@ def _lift_runs(schedule: list[int], width: int) -> tuple[np.ndarray, np.ndarray,
 def _add_runs(cells: np.ndarray, hists: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> None:
     """Add row i of hists to the cells from plus[i] on and take it from the
     cells from minus[i] on, in one np.add.at, which adds once for every run
-    where several runs share a cell."""
+    where several runs share a cell; flat, for numpy's 1-D ufunc.at path."""
     at = np.concatenate((plus, minus))[:, None] + np.arange(hists.shape[1])
-    np.add.at(cells, at, np.concatenate((hists, -hists)))
+    np.add.at(cells, at.ravel(), np.concatenate((hists, -hists)).ravel())
 
 
 def _fit_loglog(series: CheckpointSeries, magnitudes: np.ndarray, index: int) -> GrowthFit:

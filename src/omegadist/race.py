@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_counts, omega_max
+from .sieve import DEFAULT_SEGMENT_SIZE, iter_segments, omega_max
 
 POSITIVE_TO_NEGATIVE = "positive-to-negative"
 NEGATIVE_TO_POSITIVE = "negative-to-positive"
@@ -79,25 +79,27 @@ def _residues(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def _class_counts(values: np.ndarray, m: int) -> np.ndarray:
-    """omega_counts(values, ends, m) for ends at every SUB_BLOCK.  For each
-    slice of whole sub-blocks and class j up to the largest value, a compare
-    gives a byte of 0 or 1 per value, and a sub-block's bytes, added as
-    uint64 words, sum in 8 byte lanes of at most 128 ones, which never
-    carry, whatever the byte order.  Raises as omega_max does."""
+    """counts[k, j] = #{i in sub-block k : values[i] = j (mod m)}, int64,
+    the last sub-block short when SUB_BLOCK does not divide len(values).
+    Per slice and class j up to the largest value, a compare gives a byte
+    of 0 or 1 per value, zero-padded to whole sub-blocks, whose bytes,
+    added as uint64 words, sum in 8 byte lanes of at most 128 ones, which
+    never carry, whatever the byte order.  Raises as omega_max does."""
     live = min(m, omega_max(values) + 1)
-    k = len(values) // SUB_BLOCK
-    counts = np.zeros((-(-len(values) // SUB_BLOCK), m), dtype=np.int64)
+    k = -(-len(values) // SUB_BLOCK)
+    counts = np.zeros((k, m), dtype=np.int64)
     lanes = np.empty((live, k), dtype=np.uint64)
-    flags = np.empty(min(k * SUB_BLOCK, _LANE_SLICE), dtype=bool)
-    for a in range(0, k * SUB_BLOCK, _LANE_SLICE):
-        residues = _residues(values[a : min(a + _LANE_SLICE, k * SUB_BLOCK)], m)
-        words = flags[: len(residues)].view(np.uint64).reshape(-1, SUB_BLOCK // 8)
+    flags = np.zeros(min(k * SUB_BLOCK, _LANE_SLICE), dtype=bool)
+    for a in range(0, len(values), _LANE_SLICE):
+        residues = _residues(values[a : a + _LANE_SLICE], m)
+        whole = -(-len(residues) // SUB_BLOCK) * SUB_BLOCK
+        # np.equal fills len(residues) bytes; the padding held the last slice's.
+        flags[len(residues) : whole] = False
+        words = flags[:whole].view(np.uint64).reshape(-1, SUB_BLOCK // 8)
         for j in range(live):
             np.equal(residues, j, out=flags[: len(residues)])
             np.add.reduce(words, axis=1, out=lanes[j, a // SUB_BLOCK :][: len(words)])
-    counts[:k, :live] = lanes.view(np.uint8).reshape(live, k, 8).sum(axis=2).T
-    if k * SUB_BLOCK < len(values):
-        counts[k] = omega_counts(values[k * SUB_BLOCK :], [len(values) % SUB_BLOCK], m)[0]
+    counts[:, :live] = lanes.view(np.uint8).reshape(live, k, 8).sum(axis=2).T
     return counts
 
 

@@ -48,10 +48,10 @@ spoke of the same pre-sieve: they form two lanes, n = 1 and n = 5 (mod 6),
 each a progression of step 6 sieved from its own sixth of the pattern, and
 errorterms lifts them by the powers 2^a * 3^b.
 
-omega_counts counts the values of consecutive pieces of an array by class
-mod m, for the segment histogram and errorterms' checkpoint pieces; the
-race counts its sub-blocks by compares, and omega_max checks the values
-for both.  fold_classes is the one fold of 64 Omega bins onto m classes.
+omega_counts counts the 64 Omega bins of consecutive pieces of an array,
+for the segment histogram and errorterms' checkpoint pieces; the race
+counts its sub-blocks' classes by compares, and omega_max checks the
+values for both.  fold_classes alone folds the bins onto m classes.
 Each OmegaSegment carries the 64-bin histogram of its values, counted on
 first use and cached, which every residue tally of the segment folds; a
 segment's values must therefore not change after it is first tallied.
@@ -222,11 +222,11 @@ def omega_max(values: np.ndarray) -> int:
     return top
 
 
-def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
-    """counts[k, j] = #{i in piece k : values[i] = j (mod m)}, int64 of
-    shape (len(ends), m), where piece k of the uint8 Omega values is
+def omega_counts(values: np.ndarray, ends) -> np.ndarray:
+    """counts[k, w] = #{i in piece k : values[i] = w}, int64 of shape
+    (len(ends), 64), where piece k of the uint8 Omega values is
     values[ends[k - 1] : ends[k]], ends[-1] read as 0; the ends ascend and
-    the last is len(values).  At m = 64 row k is piece k's 64-bin histogram.
+    the last is len(values).
 
     A piece of 2^14 values or more is read in pairs: each uint16 holds two
     values below 64, so a 2^14-bin bincount of _COUNT_KEYS pairs at a time
@@ -234,14 +234,13 @@ def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
     count of each byte whatever the byte order.  A run of shorter pieces is
     counted in groups of at most _COUNT_KEYS values and 1024 pieces, one
     bincount each of the values plus 64 times their piece's place in the
-    group, a key that fits in uint16.  Each piece's or group's 64 bins are
-    folded onto the m classes by fold_classes.  Raises as omega_max does.
+    group, a key that fits in uint16.  Raises as omega_max does.
     """
     omega_max(values)
     ends = np.asarray(ends, dtype=np.intp)
     starts = np.concatenate(([0], ends[:-1]))
     lengths = ends - starts
-    counts = np.empty((len(ends), m), dtype=np.int64)
+    counts = np.empty((len(ends), 64), dtype=np.int64)
     long = np.flatnonzero(lengths >= 1 << 14).tolist()
     for k in long:
         # The pair view needs contiguous bytes; a contiguous piece is not copied.
@@ -251,10 +250,9 @@ def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
             np.bincount(pairs[a : a + _COUNT_KEYS], minlength=1 << 14)
             for a in range(0, len(pairs), _COUNT_KEYS)
         ).reshape(64, 256)
-        hist = table.sum(axis=0)[:64] + table.sum(axis=1)
+        counts[k] = table.sum(axis=0)[:64] + table.sum(axis=1)
         if len(piece) % 2:
-            hist[piece[-1]] += 1
-        counts[k] = fold_classes(hist, m)
+            counts[k, piece[-1]] += 1
     k = 0
     for stop in [*long, len(ends)]:
         while k < stop:
@@ -262,8 +260,7 @@ def omega_counts(values: np.ndarray, ends, m: int = 64) -> np.ndarray:
             j = min(j, k + 1024, stop)
             keys = np.repeat(np.arange(0, 64 * (j - k), 64, dtype=np.uint16), lengths[k:j])
             keys += values[starts[k] : ends[j - 1]]
-            hist = np.bincount(keys, minlength=64 * (j - k)).reshape(j - k, 64)
-            counts[k:j] = fold_classes(hist, m)
+            counts[k:j] = np.bincount(keys, minlength=64 * (j - k)).reshape(j - k, 64)
             k = j
         k = stop + 1
     return counts

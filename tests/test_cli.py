@@ -510,6 +510,41 @@ def test_selftest_green_and_fault_injected(capsys, monkeypatch):
     assert failed[0]["detail"].startswith("raised RuntimeError")
 
 
+def _off_by_one_x(real):
+    def faulty(tally):
+        sums = real(tally)
+        sums[0] += 1
+        return sums
+    return faulty
+
+
+def _off_by_one_count(real):
+    def faulty(sums):
+        tally = real(sums)
+        tally.counts[0] += 1
+        return tally
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "name,fault,check,detail",
+    [
+        ("sums_from_counts", _off_by_one_x, "transform-roundtrip", "sums[0] != x at m = 1"),
+        ("counts_from_sums", _off_by_one_count, "transform-roundtrip", "roundtrip mismatch at m = 1"),
+        ("scaled_residuals", lambda real: lambda series: real(series) + 1,
+         "residual-sum-zero", "scaled residuals do not sum to zero at m = 2"),
+    ],
+)
+def test_selftest_reports_each_identity_that_fails(capsys, monkeypatch, name, fault, check, detail):
+    """A transform or residual that breaks its identity fails its own
+    check with the modulus where it broke; the other checks still pass."""
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    failed = [c for c in run_selftest(x_limit=2000) if not c["passed"]]
+    assert failed == [{"name": check, "passed": False, "detail": detail}]
+    code, _, _ = run_cli(capsys, "selftest", "--x-limit", "2000")
+    assert code == 1
+
+
 def test_run_selftest_structure():
     checks = run_selftest(x_limit=1000)
     assert {c["name"] for c in checks} == {

@@ -150,10 +150,10 @@ def test_record_many_histograms_each_piece_once(monkeypatch):
     pieces, ends = [], []
     counts = errorterms.omega_counts
 
-    def recording_counts(values, piece_ends, m=64):
+    def recording_counts(values, piece_ends):
         ends.extend(sum(map(len, pieces)) + np.asarray(piece_ends))
         pieces.append(values.copy())
-        return counts(values, piece_ends, m)
+        return counts(values, piece_ends)
 
     monkeypatch.setattr(errorterms, "omega_counts", recording_counts)
     record_many(range(1, 13), x_max, segment_size=segment_size)

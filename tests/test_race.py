@@ -19,7 +19,7 @@ from omegadist.race import (
     all_pairs,
     race_scan,
 )
-from omegadist.sieve import _COUNT_KEYS, OmegaSegment, iter_segments, omega_counts, omega_single
+from omegadist.sieve import _COUNT_KEYS, OmegaSegment, iter_segments, omega_single
 
 
 def test_hand_traced_m2():
@@ -412,17 +412,16 @@ def test_sub_block_counts_match_per_sub_block_bincount(m, segment_size, monkeypa
 
 @pytest.mark.parametrize("m", [2, 3, 12, 64])
 def test_sub_block_counts_do_not_depend_on_the_slice(m):
-    """2^20 + 777 values cut at every sub-block, the last one short, are
-    counted in groups of 64 sub-blocks and a short tail; every row is one
-    bincount of its sub-block, folded onto the m classes."""
+    """2^20 + 777 values, four slices of 2^18 and a last slice of one
+    short sub-block, whose padding held the previous slice's flags: every
+    row is one bincount of its sub-block's classes."""
     rng = np.random.default_rng(m)
     values = rng.integers(0, 64, 2**20 + 777, dtype=np.uint8)
     expected = np.array([
         np.bincount(values[a : a + SUB_BLOCK] % m, minlength=m)
         for a in range(0, len(values), SUB_BLOCK)
     ])
-    ends = np.arange(SUB_BLOCK, len(values) + SUB_BLOCK, SUB_BLOCK).clip(max=len(values))
-    counts = omega_counts(values, ends, m)
+    counts = _class_counts(values, m)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, expected)
 
@@ -431,18 +430,20 @@ def test_sub_block_counts_do_not_depend_on_the_slice(m):
 def test_class_counts_match_per_sub_block_bincount(m):
     """Values below (m + 1) // 2, so the classes above the largest value
     stay 0, and values with a 63, so every class is live; 2^18 + 3 * 1024 + 5
-    values span a full slice, a short slice and a short last sub-block."""
+    values span a full slice, a short slice and a short last sub-block, and
+    1 and 1023 values one short sub-block alone."""
     rng = np.random.default_rng(m)
-    n = _LANE_SLICE + 3 * SUB_BLOCK + 5
-    for values in (rng.integers(0, (m + 1) // 2, n, dtype=np.uint8),
-                   np.append(rng.integers(0, 64, n - 1, dtype=np.uint8), np.uint8(63))):
+    for n, top in itertools.product([1, SUB_BLOCK - 1, _LANE_SLICE + 3 * SUB_BLOCK + 5], [False, True]):
+        values = rng.integers(0, 64 if top else (m + 1) // 2, n, dtype=np.uint8)
+        if top:
+            values[-1] = 63
         expected = np.array([
             np.bincount(values[a : a + SUB_BLOCK] % m, minlength=m)
             for a in range(0, n, SUB_BLOCK)
         ])
         counts = _class_counts(values, m)
         assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected)
+        assert np.array_equal(counts, expected), (n, top)
 
 
 @pytest.mark.parametrize("dtype,top,error", [(np.uint16, 5, TypeError), (np.uint8, 64, ValueError)])

@@ -151,9 +151,9 @@ def test_tally_segment_histograms_a_segment_once(monkeypatch):
     segment = omega_block(1, 5001, primes_up_to(71))
     calls = []
 
-    def counting_counts(values, ends, m=64):
+    def counting_counts(values, ends):
         calls.append(len(values))
-        return omega_counts(values, ends, m)
+        return omega_counts(values, ends)
 
     monkeypatch.setattr(sieve, "omega_counts", counting_counts)
     for m in range(1, 13):

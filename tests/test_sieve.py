@@ -968,7 +968,8 @@ def _random_ends(rng, draw):
 def test_omega_counts_matches_a_bincount_per_piece():
     """420 draws of random ends, from an odd byte offset in half of them,
     each with one m from 1 to 70 (every m six times), and empty values:
-    row k is the bincount of piece k, folded onto the m classes."""
+    row k is the 64-bin bincount of piece k, and folded onto the m classes
+    by fold_classes it is the fold of that bincount."""
     rng = np.random.default_rng(2009)
     for draw in range(420):
         m, offset = 1 + draw % 70, draw % 2
@@ -976,16 +977,15 @@ def test_omega_counts_matches_a_bincount_per_piece():
         base = rng.integers(0, 64, offset + ends[-1], dtype=np.uint8)
         values = base[offset:]
         starts = np.concatenate(([0], ends[:-1]))
-        expected = np.array([
-            sieve.fold_classes(np.bincount(values[a:b], minlength=64), m)
-            for a, b in zip(starts, ends)
-        ])
-        counts = sieve.omega_counts(values, ends, m)
+        bins = np.array([np.bincount(values[a:b], minlength=64) for a, b in zip(starts, ends)])
+        expected = np.array([sieve.fold_classes(row, m) for row in bins])
+        counts = sieve.omega_counts(values, ends)
         assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected), (m, ends.tolist())
+        assert np.array_equal(counts, bins), ends.tolist()
+        assert np.array_equal(sieve.fold_classes(counts, m), expected), (m, ends.tolist())
     empty = np.zeros(0, dtype=np.uint8)
     for ends in ([0], [0, 0, 0]):
-        assert sieve.omega_counts(empty, ends, 5).tolist() == [[0] * 5] * len(ends)
+        assert sieve.omega_counts(empty, ends).tolist() == [[0] * 64] * len(ends)
 
 
 @pytest.mark.parametrize("where", ["middle short piece", "long piece", "last piece"])
@@ -996,7 +996,7 @@ def test_omega_counts_refuses_a_64_in_any_piece(where):
     at = {"middle short piece": 1029, "long piece": 5000, "last piece": 3 * 2**14 - 1}[where]
     values[at] = 64
     with pytest.raises(ValueError, match="below 64"):
-        sieve.omega_counts(values, ends, 3)
+        sieve.omega_counts(values, ends)
 
 
 @pytest.mark.parametrize("length", [1000, 2**15 + 1])
