@@ -38,7 +38,9 @@ power's next multiple, the bucket-sieve idea of the same paper in numpy.
 The prime tables themselves come from a segmented sieve of Eratosthenes
 over the odd numbers, pre-sieved from the odd half of the same pattern,
 which writes its primes straight into one uint32 array; a table's limit is
-below 2**32, which covers every block below 2**64.
+below 2**32, which covers every block below 2**64.  Like a block, each
+segment is sieved from its own bounds, one modulo giving every base prime's
+first strike, and no state carries from one segment to the next.
 
 A stream sieves one prime table, which a pooled stream hands to each
 worker as it starts; the workers send their blocks back through one shared
@@ -271,9 +273,10 @@ def primes_up_to(limit: int) -> PrimeTable:
     odd numbers.
 
     The base primes up to isqrt(limit) come from the same sieve run to
-    isqrt(limit); each segment of _PRIME_SEGMENT odd numbers then starts
-    from the odd half of the tiled block pattern, has the multiples of the
-    other base primes struck out from the square on, and writes its
+    isqrt(limit) when that exceeds 13.  Each segment of _PRIME_SEGMENT odd
+    numbers starts from the odd half of the tiled block pattern, has the
+    multiples of the other base primes struck out from the square on, from
+    first indices computed from its own bounds alone, and writes its
     survivors straight into one uint32 array sized by Dusart's bound
     pi(x) <= x / log x * (1 + 1.2762 / log x) (x > 1) and trimmed at the
     end, so the peak is about the table itself.
@@ -296,17 +299,19 @@ def _sieve_primes(limit: int) -> np.ndarray:
     primes = np.empty(math.ceil(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.uint32)
     primes[0] = 2
     count = 1
-    # Odd n is index (n - 1) // 2.  Every prime p <= isqrt(limit) past the
-    # pattern's strikes its odd multiples from p^2 on; next_hit holds the
-    # index of the next one, carried from segment to segment (and so not
-    # sorted): a segment ending at index b is struck by the p with p^2 <= 2b.
+    # Odd n is index (n - 1) // 2.  The odd half of the block pattern strikes
+    # the multiples of 3..13, which below 17^2 are all the odd composites;
+    # each base prime p from 17 to isqrt(limit) strikes its odd multiples
+    # from p^2 on, the indices = (p - 1) // 2 (mod p) from (p^2 - 1) // 2.
     root = math.isqrt(limit)
-    base = _sieve_primes(root).astype(np.int64) if root >= 2 else np.empty(0, np.int64)
-    base = base[np.count_nonzero(base <= _PATTERN_PRIMES[-1]) :]
-    next_hit = (base * base - 1) // 2
+    if root > _PATTERN_PRIMES[-1]:
+        base = _sieve_primes(root)[len(_PATTERN_PRIMES) :].astype(np.int64)
+    else:
+        base = np.empty(0, np.int64)
+    residue, square = (base - 1) // 2, (base * base - 1) // 2
     n_odd = (limit + 1) // 2
     flags = np.empty(min(_PRIME_SEGMENT, n_odd), dtype=bool)
-    pattern = _odd_flags()
+    pattern = _small_prime_pattern(2) == 0
     for a in range(0, n_odd, _PRIME_SEGMENT):
         b = min(a + _PRIME_SEGMENT, n_odd)
         segment = flags[: b - a]
@@ -315,12 +320,14 @@ def _sieve_primes(limit: int) -> np.ndarray:
             # 1 is not prime; the pattern's own primes are.
             segment[0] = False
             segment[[(p - 1) // 2 for p in _PATTERN_PRIMES[1:] if p <= limit]] = True
+        # The p with p^2 <= 2b strike [a, b), each from its first index at
+        # or past its square and a: from the bounds alone, nothing carried.
         active = int(np.searchsorted(base, math.isqrt(2 * b), side="right"))
-        steps, hits = base[:active], next_hit[:active]
-        for step, first in zip(steps.tolist(), hits.tolist()):
-            segment[first - a :: step] = False
-        # Carry each progression on to its first index at or past b.
-        hits += (b - hits + steps - 1) // steps * steps
+        steps = base[:active]
+        first = np.maximum(square[:active], a)
+        first += (residue[:active] - first) % steps
+        for step, start in zip(steps.tolist(), (first - a).tolist()):
+            segment[start::step] = False
         found = np.flatnonzero(segment)
         found *= 2
         found += 2 * a + 1
@@ -329,17 +336,6 @@ def _sieve_primes(limit: int) -> np.ndarray:
     # Shrinking in place gives the unused tail back without a copy.
     primes.resize(count, refcheck=False)
     return primes
-
-
-@functools.cache
-def _odd_flags() -> np.ndarray:
-    """flags[i] says whether 2i + 1 has no factor in _PATTERN_PRIMES: the odd
-    half of the block pattern, whose word n is 0 exactly when no pattern
-    prime divides n.  Every segment of primes_up_to starts from these flags,
-    tiled from its first index.  Read-only."""
-    flags = _small_prime_pattern(2) == 0
-    flags.flags.writeable = False
-    return flags
 
 
 def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:

@@ -93,16 +93,19 @@ def test_primes_up_to_matches_reference_at_segment_edges_and_squares():
 
 
 def test_primes_up_to_strikes_with_every_base_prime_over_many_segments(monkeypatch):
-    """Carried past a segment, the base primes' next hits fall out of
-    ascending order, so the primes that strike a segment are not found by
-    searching those hits: that kept 2,621,441 = 131 * 20011 in the table at
-    2^18 flags a segment, and 10 of these limits at 2^12."""
-    monkeypatch.setattr(sieve, "_PRIME_SEGMENT", 1 << 12)
+    """Each segment finds every base prime's first strike from its own
+    bounds.  Over up to 123 short segments, of 2^12 flags and of 4099, a
+    size prime to every base prime, the segments start at many residues of
+    each base prime, and every base prime up to the root must strike each
+    one it reaches: a segment that missed 131 kept 2,621,441 = 131 * 20011
+    in the table at 2^18 flags a segment."""
     limits = range(100_000, 10**6 + 1, 9973)
     reference = _reference_primes(max(limits))
-    for limit in limits:
-        expected = reference[: bisect.bisect_right(reference, limit)]
-        assert primes_up_to(limit).primes.tolist() == expected, limit
+    for size in (1 << 12, 4099):
+        monkeypatch.setattr(sieve, "_PRIME_SEGMENT", size)
+        for limit in limits:
+            expected = reference[: bisect.bisect_right(reference, limit)]
+            assert primes_up_to(limit).primes.tolist() == expected, (size, limit)
 
 
 def test_primes_up_to_pi_of_10_to_7():
@@ -110,6 +113,13 @@ def test_primes_up_to_pi_of_10_to_7():
     assert table.primes.dtype == np.uint32
     assert len(table) == 664_579
     assert table.primes[-1] == 9_999_991
+
+
+def test_primes_up_to_pi_of_10_to_8():
+    # pi(10^8) = 5,761,455: 48 segments of 2^20 flags, the last one short.
+    table = primes_up_to(10**8)
+    assert len(table) == 5_761_455
+    assert table.primes[-1] == 99_999_989
 
 
 def test_primes_up_to_refuses_2_to_32_before_allocating():
@@ -584,10 +594,9 @@ def test_iter_segments_workers_agree():
     assert np.array_equal(serial, parallel)
 
 
-def test_pooled_stream_builds_no_parent_table(monkeypatch):
-    # Named for the earlier design, in which each pool worker sieved its own
-    # table and the parent none.  The parent now sieves the stream's one
-    # table, the same one a serial stream sieves, and its workers share it.
+def test_pooled_stream_sieves_its_one_table_in_the_parent(monkeypatch):
+    # The parent sieves the stream's one table, the same one a serial
+    # stream sieves, and its workers share it.
     calls = []
 
     def counting_primes_up_to(limit):
