@@ -15,15 +15,19 @@ W1, W2, SEG = ["--workers", "1"], ["--workers", "2"], ["--segment-size", "100000
 # ru_maxrss bounds each of them from above.
 CONTRACTS = [
     # hall tabulates the envelope from one prime table to x-max; at 1e8 the
-    # uint32 table and its reciprocal sums stay under 128 MB.  The pin reads
-    # the running sum of 1/p over every prime <= 1e8; Tier-1 checks only
-    # their count and the last one.
+    # uint32 table and one pass of 1/p over it stay under 128 MB.  The pin
+    # reads the running sum of 1/p over every prime <= 1e8; Tier-1 checks
+    # only their count and the last one.
     (["hall", "--m", "3", "--m", "8", *X8], [[]], 0,
      "7572b43e51728e20dc3d8161b648da64709c62131dd41eaea676338f474f5e26", 128),
     # dirichlet-check takes each Euler product to p-max a slice at a time,
     # over every prime <= 1e8.
     (["dirichlet-check", "--m", "3", "--n-max", "1000", "--p-max", "100000000"], [[]], 0,
      "96a83c0c5c14a0265fa288c8010e7be6e1628ab7293ebe43b65d2e20acff38f5", 128),
+    # 12,511 checkpoints to 1e8, each envelope row read from the one running
+    # sum of 1/p; Tier-1's unsorted x stop at 2 * 10^5.
+    (["hall", "--m", "3", *X8, "--ratio", "1.001"], [[]], 0,
+     "7e0dd28d3e249c769678743c1f5a1408810a836be9f34fdcb7ecf42c9112b052", None),
     (["selftest"], [[]], 0, None, None),
     # 1..2^24 sieved as one block and trial-divided at every n in it.
     (["selftest", "--x-limit", "16777216"], [[]], 0, None, None),

@@ -35,7 +35,7 @@ from .hall import (
     hall_constants,
     hall_rhs,
     hull_perimeter,
-    mertens_sum,
+    mertens_sums,
     predicted_bound,
 )
 from .race import RaceEvent, RaceSummary, all_pairs, race_scan
@@ -90,7 +90,7 @@ __all__ = [
     "hull_perimeter",
     "inverse_residuals",
     "iter_segments",
-    "mertens_sum",
+    "mertens_sums",
     "new_tally",
     "omega_block",
     "omega_single",

@@ -44,7 +44,7 @@ from .errorterms import (
     record_many,
     scaled_residuals,
 )
-from .hall import hall_constants, hall_rhs, predicted_bound
+from .hall import hall_constants, hall_rhs, mertens_sums, predicted_bound
 from .race import all_pairs, race_scan
 from .residues import (
     counts_from_sums,
@@ -199,17 +199,17 @@ def cmd_hall(args) -> int:
         if args.x_max >= 1 << 32:
             raise ValueError(f"x-max must be below 2**32, got {args.x_max}")
         schedule = checkpoint_schedule(args.x_max, args.ratio)
-        table = primes_up_to(args.x_max)
+        mertens = mertens_sums(schedule, primes_up_to(args.x_max))
         for m in moduli:
             for k in range(1, m):
-                for x in schedule:
+                for x, mertens_x in zip(schedule, mertens):
                     rows.append(
                         {
                             "kind": "envelope",
                             "m": m,
                             "k": k,
                             "x": x,
-                            "hall_rhs": hall_rhs(m, k, x, table),
+                            "hall_rhs": hall_rhs(m, k, mertens_x),
                         }
                     )
     columns = ["kind", "m", "perimeter", "c", "a_exponent", "k", "x", "hall_rhs"]

@@ -1,7 +1,7 @@
 """Constants of the convex-hull mean-value bound and the decay envelope it
 implies for the unit-root character sums.
 
-Everything here is closed-form trigonometry plus one partial prime sum; the
+Everything here is closed-form trigonometry plus one running sum of 1/p; the
 heavy lifting lives in the sieve and tally modules.
 """
 
@@ -51,19 +51,24 @@ def hall_constants(m: int) -> HallConstants:
     return HallConstants(m=m, perimeter=perimeter, c=c, a_exponent=a_exponent)
 
 
-def mertens_sum(x: int, table: PrimeTable) -> float:
-    """sum of 1/p over primes p <= x, accumulated in ascending order."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if table.limit < x:
-        raise ValueError(f"prime table covers {table.limit} but x = {x}")
-    # A needle of the table's dtype; a Python int would cast the whole table.
-    count = np.searchsorted(table.primes, np.uint32(x), "right")
-    return float(table._reciprocal_sums[count - 1])
+def mertens_sums(xs: list[int], table: PrimeTable) -> list[float]:
+    """sum of 1/p over primes p <= x for every x in xs, in any order: one
+    running sum of 1/p in ascending order, read at each x's prime count, so
+    each value is the same float as summing its prefix afresh."""
+    for x in xs:
+        if x < 2:
+            raise ValueError(f"x must be >= 2, got {x}")
+        if table.limit < x:
+            raise ValueError(f"prime table covers {table.limit} but x = {x}")
+    # Needles of the table's dtype; Python ints would cast the whole table.
+    counts = np.searchsorted(table.primes, np.array(xs, dtype=np.uint32), "right")
+    sums = 1.0 / table.primes[: counts.max(initial=0)]
+    return np.cumsum(sums, out=sums)[counts - 1].tolist()
 
 
-def hall_rhs(m: int, k: int, x: int, table: PrimeTable) -> float:
-    """Decay envelope exp(-c * (1 - cos(2*pi*k/m)) * sum_{p<=x} 1/p).
+def hall_rhs(m: int, k: int, mertens: float) -> float:
+    """Decay envelope exp(-c * (1 - cos(2*pi*k/m)) * mertens), where
+    mertens = sum_{p<=x} 1/p.
 
     This is the per-character shape of the mean-value bound for |S_k(x)|/x;
     it decays like a negative power of log x.
@@ -72,7 +77,7 @@ def hall_rhs(m: int, k: int, x: int, table: PrimeTable) -> float:
     if not 0 < k < m:
         raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
     gap = 1.0 - math.cos(2.0 * math.pi * k / m)
-    return math.exp(-constants.c * gap * mertens_sum(x, table))
+    return math.exp(-constants.c * gap * mertens)
 
 
 def predicted_bound(m: int, x: float) -> float:

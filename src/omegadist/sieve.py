@@ -130,14 +130,6 @@ class PrimeTable:
         return len(self.primes)
 
     @functools.cached_property
-    def _reciprocal_sums(self) -> np.ndarray:
-        """[1/2, 1/2 + 1/3, ...]: the running sum of 1/p in ascending order,
-        read by hall.mertens_sum.  cumsum adds strictly left to right, so
-        each entry is the same float as summing its prefix afresh."""
-        sums = 1.0 / self.primes
-        return np.cumsum(sums, out=sums)
-
-    @functools.cached_property
     def _prime_increments(self) -> np.ndarray:
         """The packed increment of every prime, as uint16, shared by every
         block the table sieves."""

@@ -38,7 +38,7 @@ import pytest
 
 from omegadist.cli import main
 from omegadist.errorterms import growth_exponent, record_many, scaled_residuals
-from omegadist.hall import hall_constants, hall_rhs
+from omegadist.hall import hall_constants, hall_rhs, mertens_sums
 from omegadist.race import all_pairs
 from omegadist.residues import (
     ResidueTally,
@@ -339,12 +339,14 @@ def test_c06_envelope_constant(series_all, table_big, m):
     constants = []
     normalized = {}
     series = series_all[m]
-    for x, counts in zip(series.checkpoints.tolist(), series.counts):
+    checkpoints = series.checkpoints.tolist()
+    mertens = mertens_sums(checkpoints, table_big)
+    for x, mertens_x, counts in zip(checkpoints, mertens, series.counts):
         if x < 1000:
             continue
         magnitude = abs(complex(np.sum(weights * counts)))
         normalized[x] = magnitude / x
-        constants.append((magnitude / x) / hall_rhs(m, 1, x, table_big))
+        constants.append((magnitude / x) / hall_rhs(m, 1, mertens_x))
     c_fitted = max(constants)
     sublinear = normalized[X_BIG] < normalized[10_000]
     check(

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omegadist
@@ -86,6 +87,25 @@ def test_hall_envelope_rows(capsys):
     assert {r["k"] for r in envelope} == {"1", "2"}
     k1 = [float(r["hall_rhs"]) for r in envelope if r["k"] == "1"]
     assert all(a > b for a, b in zip(k1, k1[1:]))  # decaying in x
+
+
+def test_hall_sums_reciprocals_once_and_caches_none_on_the_table(capsys, monkeypatch):
+    # Five envelope rows per checkpoint read one pass of sum 1/p, and the
+    # table keeps no float copy of itself once the command is done.
+    calls, original = [], cli.mertens_sums
+
+    def counting_mertens_sums(xs, table):
+        calls.append(table)
+        return original(xs, table)
+
+    monkeypatch.setattr(cli, "mertens_sums", counting_mertens_sums)
+    code, _, _ = run_cli(capsys, "hall", "--m", "3", "--m", "4", "--x-max", "1000")
+    assert code == 0
+    (table,) = calls
+    assert not [
+        name for name, value in vars(table).items()
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+    ]
 
 
 def test_hall_rejects_m1(capsys):

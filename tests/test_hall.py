@@ -11,7 +11,7 @@ from omegadist.hall import (
     hall_constants,
     hall_rhs,
     hull_perimeter,
-    mertens_sum,
+    mertens_sums,
     predicted_bound,
 )
 from omegadist.sieve import primes_up_to
@@ -81,63 +81,63 @@ def test_m4_exponent_equals_c():
 
 
 def test_mertens_small_values():
-    table = primes_up_to(100)
-    assert mertens_sum(2, table) == 0.5
-    assert abs(mertens_sum(10, table) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-15
+    two, ten = mertens_sums([2, 10], primes_up_to(100))
+    assert two == 0.5
+    assert abs(ten - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-15
 
 
 def test_mertens_sum_is_the_ascending_prefix_sum():
-    # Read from one cached running sum, each value must be the very float
-    # that summing 1/p over p <= x afresh, left to right, gives: the CLI's
-    # envelope bytes depend on it.  x runs over primes, composites and the
-    # table limit.
+    # Read from one running sum in one call, each value must be the very
+    # float that summing 1/p over p <= x afresh, left to right, gives: the
+    # CLI's envelope bytes depend on it.  x runs unsorted, with repeats, over
+    # primes, composites and the table limit.
     table = primes_up_to(200_000)
-    xs = [2, 3, 4, 10, 97, 100, 1000, 4093, 65_536, 199_999, 200_000]
+    xs = [1000, 2, 3, 200_000, 4, 10, 97, 100, 4093, 65_536, 199_999, 10, 2]
     xs += np.random.default_rng(6).integers(2, 200_001, 200).tolist()
-    for x in xs:
+    for x, value in zip(xs, mertens_sums(xs, table), strict=True):
         fresh = np.cumsum(1.0 / table.primes[table.primes <= x])[-1]
-        assert mertens_sum(x, table) == fresh
+        assert value == fresh
 
 
 def test_mertens_asymptotics():
     # sum 1/p ~ log log x + M with M = 0.2614972...; at 10^6 the residual
     # error is around 1/log(10^6)^2 ~ 0.005.
     table = primes_up_to(1_000_000)
-    value = mertens_sum(1_000_000, table)
+    (value,) = mertens_sums([1_000_000], table)
     expected = math.log(math.log(1_000_000)) + 0.2614972128476428
     assert abs(value - expected) < 0.01
 
 
 def test_mertens_validates():
     table = primes_up_to(100)
-    with pytest.raises(ValueError):
-        mertens_sum(1, table)
-    with pytest.raises(ValueError):
-        mertens_sum(1000, table)
+    with pytest.raises(ValueError, match="x must be >= 2, got 1"):
+        mertens_sums([10, 1], table)
+    with pytest.raises(ValueError, match="prime table covers 100 but x = 1000"):
+        mertens_sums([1000, 10], table)
 
 
 def test_hall_rhs_compose():
-    table = primes_up_to(1000)
-    m, k, x = 5, 2, 1000
+    (mertens,) = mertens_sums([1000], primes_up_to(1000))
+    m, k = 5, 2
     constants = hall_constants(m)
     expected = math.exp(
-        -constants.c * (1 - math.cos(2 * math.pi * k / m)) * mertens_sum(x, table)
+        -constants.c * (1 - math.cos(2 * math.pi * k / m)) * mertens
     )
-    assert hall_rhs(m, k, x, table) == pytest.approx(expected, abs=1e-15)
-    assert 0 < hall_rhs(m, k, x, table) < 1
+    assert hall_rhs(m, k, mertens) == pytest.approx(expected, abs=1e-15)
+    assert 0 < hall_rhs(m, k, mertens) < 1
 
 
 def test_hall_rhs_decreasing_in_x():
-    table = primes_up_to(10_000)
-    values = [hall_rhs(3, 1, x, table) for x in (10, 100, 1000, 10_000)]
+    mertens = mertens_sums([10, 100, 1000, 10_000], primes_up_to(10_000))
+    values = [hall_rhs(3, 1, value) for value in mertens]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_hall_rhs_validates_k():
-    table = primes_up_to(100)
+    (mertens,) = mertens_sums([100], primes_up_to(100))
     for k in (0, 3, -1):
         with pytest.raises(ValueError):
-            hall_rhs(3, k, 100, table)
+            hall_rhs(3, k, mertens)
 
 
 def test_predicted_bound_examples():
