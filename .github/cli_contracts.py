@@ -14,6 +14,11 @@ W1, W2, SEG = ["--workers", "1"], ["--workers", "2"], ["--segment-size", "100000
 # None.  The bounded rows run first, so that the children's running
 # ru_maxrss bounds each of them from above.
 CONTRACTS = [
+    # The widest table, 785,940 rows: density formats it a block per modulus
+    # and a chunk of rows at a time, so its peak follows the m = 12 block;
+    # whole-table row dicts peaked at 426 MB.  The lowest bound runs first.
+    (["density", *M2_12, "--x-max", "10000000", "--ratio", "1.001"], [[]], 0,
+     "8f64e6af092901574e0b71b219da5cca327e8669a3f0a00bf7bac9bc9352f2da", 88),
     # hall tabulates the envelope from one prime table to x-max; at 1e8 the
     # uint32 table and one pass of 1/p over it stay under 128 MB.  The pin
     # reads the running sum of 1/p over every prime <= 1e8; Tier-1 checks

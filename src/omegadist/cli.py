@@ -4,7 +4,14 @@ Subcommands: density, hall, error-growth, dirichlet-check, race, selftest.
 Output goes to stdout or --output as CSV (RFC 4180, LF line endings) or as a
 single JSON document {"command", "config", "rows"}.  Reals are rendered with
 15 significant digits.  Output is byte-identical for identical flags
-regardless of --workers.
+regardless of --workers.  --x-max, --n-max and --p-max also take exact
+integral scientific notation, such as 1e8.
+
+Commands hand their tables to _emit as blocks.  A block maps a column to one
+value shared by all of its rows or to a list with one value per row, so a
+plain row dict is a one-row block; a column a block lacks is empty.  CSV
+formats each column of a block a chunk of rows at a time, each distinct
+value once, and JSON expands the blocks into one dict per row.
 
 Exit codes: 0 success, 1 tolerance or self-check failure, or too few
 nonzero checkpoints for an error-growth fit (always so at m = 1), 2 usage
@@ -19,11 +26,13 @@ worker process died.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -68,14 +77,39 @@ def _fmt_real(value: float) -> str:
     return format(value, ".15g")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_real(value)
-    return str(value)
+#: CSV cells by exact type: None empty, bools true/false, floats at 15
+#: significant digits, and anything else by str.  NumPy scalars are none of
+#: these types, so columns come from .tolist().
+_CSV_FORMATS = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: _fmt_real,
+}
+
+#: Rows formatted and written at a time, which bounds the text held at once.
+_CSV_CHUNK = 1 << 13
+
+
+def _csv_cells(values: list) -> list[str]:
+    """One column's CSV cells.  A column of one type whose values repeat
+    down the rows formats each distinct value once."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return [_CSV_FORMATS.get(type(value), str)(value) for value in values]
+    kind = kinds.pop()
+    fmt = _CSV_FORMATS.get(kind, str)
+    distinct = set(values)
+    # -0.0 == 0.0, yet they print apart.
+    if 2 * len(distinct) > len(values) or kind is float and 0.0 in distinct:
+        return list(map(fmt, values))
+    cells = {value: fmt(value) for value in distinct}
+    return list(map(cells.__getitem__, values))
+
+
+def _block_columns(block: dict, columns: list[str]) -> list[list]:
+    """A block's columns as lists of one value per row."""
+    rows = max((len(value) for value in block.values() if type(value) is list), default=1)
+    return [value if type(value) is list else [value] * rows for value in map(block.get, columns)]
 
 
 def _jsonify(value):
@@ -89,37 +123,44 @@ def _jsonify(value):
     return value
 
 
-def _emit(args, columns: list[str], rows: list[dict], json_rows: list | None = None) -> None:
-    """Render rows as CSV, or as one JSON document whose config echoes the
-    parsed flags other than --format and --output."""
-    if args.format == "json":
-        config = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "format", "output", "handler")
-        }
-        payload = {
-            "command": args.command,
-            "config": _jsonify(config),
-            "rows": _jsonify(
-                json_rows
-                if json_rows is not None
-                else [{column: row.get(column) for column in columns} for row in rows]
-            ),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(column)) for column in columns])
-        text = buffer.getvalue()
+def _emit(args, columns: list[str], blocks: Iterable[dict], json_rows: list | None = None) -> None:
+    """Render blocks (see the module docstring) as CSV, or as one JSON
+    document whose config echoes the parsed flags other than --format and
+    --output; json_rows, where given, stand for the blocks' rows in JSON."""
     if args.output == "-":
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        target = open(args.output, "w", encoding="utf-8", newline="")
+    with target as out:
+        if args.format == "json":
+            if json_rows is None:
+                json_rows = [
+                    dict(zip(columns, row))
+                    for block in blocks
+                    for row in zip(*_block_columns(block, columns), strict=True)
+                ]
+            config = {
+                key: value
+                for key, value in vars(args).items()
+                if key not in ("command", "format", "output", "handler")
+            }
+            payload = {"command": args.command, "config": config, "rows": json_rows}
+            out.write(json.dumps(_jsonify(payload), indent=2) + "\n")
+            return
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for block in blocks:
+            cells = _block_columns(block, columns)
+            for start in range(0, len(cells[0]), _CSV_CHUNK):
+                chunk = [_csv_cells(column[start : start + _CSV_CHUNK]) for column in cells]
+                # The csv module prints cells free of commas, quotes and line
+                # breaks as they are, in rows of two or more; joining them here
+                # costs far less than writerows.
+                text = "".join(map("".join, chunk))
+                if len(columns) > 1 and not any(char in text for char in ',"\r\n'):
+                    out.write("\n".join(map(",".join, zip(*chunk, strict=True))) + "\n")
+                else:
+                    writer.writerows(zip(*chunk, strict=True))
 
 
 def _moduli(args) -> list[int]:
@@ -150,30 +191,29 @@ def _record(args):
     )
 
 
+def _density_block(s: CheckpointSeries) -> dict:
+    """One modulus's rows of the density table, class by class at each x."""
+    m, xs = s.m, s.checkpoints.tolist()
+    x_rows, counts = [x for x in xs for _ in range(m)], s.counts.ravel().tolist()
+    return {
+        "m": m,
+        "x": x_rows,
+        "j": list(range(m)) * len(xs),
+        "count": counts,
+        "ratio": [count / x for count, x in zip(counts, x_rows)],
+        "scaled_residual": scaled_residuals(s).ravel().tolist(),
+        # m = 1 has no bound: its block leaves the column empty.
+        "predicted_bound": [b for x in xs for b in [predicted_bound(m, x)] * m] if m > 1 else None,
+    }
+
+
 def cmd_density(args) -> int:
     """Class counts, densities, scaled residuals and the growth envelope at
     geometric checkpoints."""
     moduli, series = _record(args)
-    rows = []
-    for m in moduli:
-        s = series[m]
-        points = zip(s.checkpoints.tolist(), s.counts.tolist(), scaled_residuals(s).tolist())
-        for x, count, residual in points:
-            bound = predicted_bound(m, x) if m >= 2 else None
-            for j in range(m):
-                rows.append(
-                    {
-                        "m": m,
-                        "x": x,
-                        "j": j,
-                        "count": count[j],
-                        "ratio": count[j] / x,
-                        "scaled_residual": residual[j],
-                        "predicted_bound": bound,
-                    }
-                )
     columns = ["m", "x", "j", "count", "ratio", "scaled_residual", "predicted_bound"]
-    _emit(args, columns, rows)
+    # A block at a time, so that memory follows the largest block, not the table.
+    _emit(args, columns, (_density_block(series[m]) for m in moduli))
     return 0
 
 
@@ -181,18 +221,7 @@ def cmd_hall(args) -> int:
     """Hull perimeter, the constant c and the exponent A per modulus, plus
     the per-character decay envelope when --x-max is given."""
     moduli = _moduli(args)
-    rows = []
-    for m in moduli:
-        constants = hall_constants(m)
-        rows.append(
-            {
-                "kind": "constants",
-                "m": m,
-                "perimeter": constants.perimeter,
-                "c": constants.c,
-                "a_exponent": constants.a_exponent,
-            }
-        )
+    rows = [{"kind": "constants", **vars(hall_constants(m))} for m in moduli]
     if args.x_max is None:
         checkpoint_schedule(10, args.ratio)  # checks the ratio, as with --x-max
     else:
@@ -200,18 +229,17 @@ def cmd_hall(args) -> int:
             raise ValueError(f"x-max must be below 2**32, got {args.x_max}")
         schedule = checkpoint_schedule(args.x_max, args.ratio)
         mertens = mertens_sums(schedule, primes_up_to(args.x_max))
-        for m in moduli:
-            for k in range(1, m):
-                for x, mertens_x in zip(schedule, mertens):
-                    rows.append(
-                        {
-                            "kind": "envelope",
-                            "m": m,
-                            "k": k,
-                            "x": x,
-                            "hall_rhs": hall_rhs(m, k, mertens_x),
-                        }
-                    )
+        rows += [
+            {
+                "kind": "envelope",
+                "m": m,
+                "k": k,
+                "x": schedule,
+                "hall_rhs": [hall_rhs(m, k, mertens_x) for mertens_x in mertens],
+            }
+            for m in moduli
+            for k in range(1, m)
+        ]
     columns = ["kind", "m", "perimeter", "c", "a_exponent", "k", "x", "hall_rhs"]
     _emit(args, columns, rows)
     return 0
@@ -224,32 +252,25 @@ def cmd_error_growth(args) -> int:
     rows = []
     for m in moduli:
         s = series[m]
-        for x, residual in zip(s.checkpoints.tolist(), scaled_residuals(s).tolist()):
-            for j in range(m):
-                rows.append(
-                    {
-                        "kind": "checkpoint",
-                        "m": m,
-                        "x": x,
-                        "j": j,
-                        "scaled_residual": residual[j],
-                    }
-                )
-        fits = [("class-fit", growth_exponent(series[m], j)) for j in range(m)]
-        fits += [
-            ("character-fit", character_growth_exponent(series[m], k)) for k in range(1, m)
-        ]
-        for kind, fit in fits:
-            rows.append(
-                {
-                    "kind": kind,
-                    "m": m,
-                    "index": fit.index,
-                    "alpha_hat": fit.alpha_hat,
-                    "points_used": fit.points_used,
-                    "residual_rms": fit.residual_rms,
-                }
-            )
+        rows.append(
+            {
+                "kind": "checkpoint",
+                "m": m,
+                "x": [x for x in s.checkpoints.tolist() for _ in range(m)],
+                "j": list(range(m)) * len(s.checkpoints),
+                "scaled_residual": scaled_residuals(s).ravel().tolist(),
+            }
+        )
+        fits = [growth_exponent(s, j) for j in range(m)]
+        fits += [character_growth_exponent(s, k) for k in range(1, m)]
+        fields = ("index", "alpha_hat", "points_used", "residual_rms")
+        rows.append(
+            {
+                "kind": ["class-fit"] * m + ["character-fit"] * (m - 1),
+                "m": m,
+                **{field: [getattr(fit, field) for fit in fits] for field in fields},
+            }
+        )
     columns = [
         "kind",
         "m",
@@ -316,20 +337,7 @@ def cmd_dirichlet_check(args) -> int:
                 "pass": passed,
             }
         )
-    columns = [
-        "check",
-        "m",
-        "s",
-        "n_max",
-        "p_max",
-        "lhs_re",
-        "lhs_im",
-        "rhs_re",
-        "rhs_im",
-        "deviation",
-        "pass",
-    ]
-    _emit(args, columns, rows)
+    _emit(args, list(rows[0]), rows)  # every row has every column
     return 0 if all_pass else 1
 
 
@@ -374,18 +382,7 @@ def cmd_race(args) -> int:
             {**pair, "x_max": summary.x_max, **leads,
              "sign_changes": len(events), "events": events}
         )
-    columns = [
-        "m",
-        "j",
-        "jprime",
-        "x",
-        "direction",
-        "lead_pos",
-        "lead_neg",
-        "lead_tie",
-        "final_delta",
-    ]
-    _emit(args, columns, rows, json_rows)
+    _emit(args, list(rows[-1]), rows, json_rows)  # a summary row has every column
     return 0
 
 
@@ -485,6 +482,21 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _integer(text: str) -> int:
+    """An int flag, also in exact integral scientific notation such as 1e8
+    or 25E6: the mantissa and the exponent are each parsed as an int."""
+    mantissa, marker, exponent = text.lower().partition("e")
+    try:
+        if not marker:
+            return int(text)
+        # int() itself takes at most 4300 digits, and a huge power only costs time.
+        if 0 <= int(exponent) <= 4300:
+            return int(mantissa) * 10 ** int(exponent)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_output_flags(parser) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -545,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "density", help="class counts, densities and residuals at checkpoints"
     )
     _add_moduli_flag(p)
-    p.add_argument("--x-max", type=int, required=True, metavar="X", help="scan limit (>= 10)")
+    p.add_argument("--x-max", type=_integer, required=True, metavar="X", help="scan limit (>= 10)")
     _add_ratio_flag(p)
     _add_stream_flags(p)
     _add_output_flags(p)
@@ -555,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_moduli_flag(p)
     p.add_argument(
         "--x-max",
-        type=int,
+        type=_integer,
         default=None,
         metavar="X",
         help="also tabulate the decay envelope up to X",
@@ -568,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "error-growth", help="checkpoint residuals and growth-exponent fits"
     )
     _add_moduli_flag(p)
-    p.add_argument("--x-max", type=int, required=True, metavar="X", help="scan limit (>= 10)")
+    p.add_argument("--x-max", type=_integer, required=True, metavar="X", help="scan limit (>= 10)")
     _add_ratio_flag(p)
     _add_stream_flags(p)
     _add_output_flags(p)
@@ -577,8 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dirichlet-check", help="numeric series-identity checks")
     _add_moduli_flag(p)
     p.add_argument("--s", type=float, default=2.0, help="evaluation point (real, > 1)")
-    p.add_argument("--n-max", type=int, default=1_000_000, metavar="N", help="series cutoff")
-    p.add_argument("--p-max", type=int, default=100_000, metavar="P", help="Euler-product cutoff")
+    p.add_argument("--n-max", type=_integer, default=1_000_000, metavar="N", help="series cutoff")
+    p.add_argument(
+        "--p-max", type=_integer, default=100_000, metavar="P", help="Euler-product cutoff"
+    )
     p.add_argument(
         "--tolerance", type=float, default=1e-3, metavar="T", help="pass/fail threshold"
     )
@@ -589,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, metavar="M", help="modulus")
     p.add_argument("--j", type=int, default=None, metavar="J", help="first class")
     p.add_argument("--jprime", type=int, default=None, metavar="J2", help="second class")
-    p.add_argument("--x-max", type=int, required=True, metavar="X", help="scan limit")
+    p.add_argument("--x-max", type=_integer, required=True, metavar="X", help="scan limit")
     _add_stream_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_race)

@@ -1,10 +1,13 @@
 """CLI tests: known outputs parsed back, exit codes, format wiring,
 worker-count determinism, and the selftest fault hook."""
 
+import argparse
 import csv
 import io
 import json
+import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -610,3 +613,112 @@ def test_reals_rendered_at_15_significant_digits(capsys):
     # .15g keeps at most 15 significant digits; the perimeter value's full
     # repr is 5.196152422706632 (16 digits), so the tail must be trimmed.
     assert row["perimeter"] == "5.19615242270663"
+
+
+# ------------------------------------------------------------ renderer
+
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".15g")
+    return str(value)
+
+
+def _oracle_emit(args, columns, rows):
+    """The per-row renderer that cli._emit replaced, as the reference: a
+    dict per row and a type test per cell."""
+    if args.format == "json":
+        config = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("command", "format", "output", "handler")
+        }
+        payload = {
+            "command": args.command,
+            "config": cli._jsonify(config),
+            "rows": cli._jsonify([{column: row.get(column) for column in columns} for row in rows]),
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_oracle_cell(row.get(column)) for column in columns])
+    return buffer.getvalue()
+
+
+def _rows_of(block):
+    """A block's rows, expanded independently of cli."""
+    lengths = [len(value) for value in block.values() if isinstance(value, list)]
+    for i in range(max(lengths, default=1)):
+        yield {key: value[i] if isinstance(value, list) else value for key, value in block.items()}
+
+
+#: Cell values by type.  The floats include both zeros, which compare equal
+#: but print apart, and the strings every character that CSV must quote.
+_VALUES = {
+    "none": [None],
+    "bool": [True, False],
+    "int": [0, 1, -7, -(2**63), 2**53 + 1, 10**30],
+    "float": [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 1 / 3, -2.5],
+    "str": ["", "plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " padded "],
+}
+
+
+def _random_block(rng, columns):
+    every = [value for values in _VALUES.values() for value in values]
+    block, rows = {}, rng.randrange(1, 30)
+    for column in columns:
+        shape = rng.choice(["absent", "scalar", "mixed", "one-type", "repeats"])
+        if shape == "scalar":
+            block[column] = rng.choice(every)
+        elif shape == "mixed":
+            block[column] = rng.choices(every, k=rows)
+        elif shape == "one-type":
+            block[column] = rng.choices(_VALUES[rng.choice(list(_VALUES))], k=rows)
+        elif shape == "repeats":  # few distinct values of one type, each repeated
+            pool = rng.choices(_VALUES[rng.choice(list(_VALUES))], k=2)
+            block[column] = [pool[i * 2 // rows] for i in range(rows)]
+    return block
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("seed", range(40))
+def test_emit_matches_the_per_row_renderer(capsys, monkeypatch, seed, fmt):
+    # Chunks of 3 rows put chunk boundaries inside most blocks.
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    rng = random.Random(seed)
+    columns = ["a", "b", "c", "d"][: rng.randrange(1, 5)]
+    blocks = [_random_block(rng, columns) for _ in range(rng.randrange(1, 6))]
+    args = argparse.Namespace(command="density", m=[3], ratio=1.5, format=fmt, output="-")
+    cli._emit(args, columns, blocks)
+    rows = [row for block in blocks for row in _rows_of(block)]
+    assert capsys.readouterr().out == _oracle_emit(args, columns, rows)
+
+
+def test_integer_flags_take_exact_scientific_notation(capsys):
+    assert run_cli(capsys, "race", "--m", "2", "--x-max", "1e5") == run_cli(
+        capsys, "race", "--m", "2", "--x-max", "100000"
+    )
+    code, out, _ = run_cli(
+        capsys, "dirichlet-check", "--m", "3", "--n-max", "1E4", "--p-max", "2e3",
+        "--format", "json",
+    )
+    config = json.loads(out)["config"]
+    assert code == 0
+    assert (config["n_max"], config["p_max"]) == (10_000, 2_000)
+    assert '"n_max": 10000,' in out and '"p_max": 2000,' in out
+    # Past every bound, as when written out: the command refuses it.
+    assert run_cli(capsys, "race", "--m", "2", "--x-max", "1e100")[:2] == (2, "")
+
+
+@pytest.mark.parametrize("value", ["1.5e3", "1e-3", "1e", "e5", "1e4301", "0x10", "1e5.0"])
+def test_integer_flags_refuse_inexact_notation(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["race", "--m", "2", "--x-max", value])
+    assert exit_info.value.code == 2
+    assert f"--x-max: invalid int value: '{value}'" in capsys.readouterr().err

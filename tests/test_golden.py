@@ -31,6 +31,10 @@ COMMANDS = {
     "density-workers": [
         "density", "--m", "5", "--x-max", "5000", "--workers", "2", "--segment-size", "1031",
     ],
+    # m = 1 leaves predicted_bound empty in every row of its block.
+    "density-m1": ["density", "--m", "1", "--m", "3", "--x-max", "2000"],
+    # A ratio grid: 125 checkpoints from 10, the first sixteen one apart.
+    "error-growth-ratio": ["error-growth", "--m", "3", "--x-max", "5000", "--ratio", "1.05"],
 }
 
 #: (command, format) -> (exit code, sha256 of stdout).
@@ -59,6 +63,10 @@ GOLDEN = {
     ("selftest", "json"): (0, "7ff58c46ba91a12d0650a32e49476cf33aca7b01579120e1b7971920ca47b207"),
     ("density-workers", "csv"): (0, "d95b42cacbe2762e47e5bbf8b8c3b579673c8c80c93ad9085d27675f7f864573"),
     ("density-workers", "json"): (0, "c392c391ceda63a2c4daeaee517a1dece8f2b3ecf5d3a7e565495ece4029c51f"),
+    ("density-m1", "csv"): (0, "fe85710f3934babdf8c9e42f1874187bde51a17a10fe1f44116adaaacd1f296a"),
+    ("density-m1", "json"): (0, "268182ccc506186b6960631f78584645d859cef834bfaa76047395f7850079f0"),
+    ("error-growth-ratio", "csv"): (0, "adf2715f99f2c2017fba57b1a3cee1b361c2151811e7ddfd42473705e67956ec"),
+    ("error-growth-ratio", "json"): (0, "c4d6add1ee32ba6145d7cceb32716620a64a4a39114d434c50cdbfb86ce6eeac"),
 }
 
 
